@@ -11,10 +11,9 @@
 // Large netlists: -workers bounds the per-level evaluation concurrency
 // (0 = one per CPU, 1 = serial; results are identical either way). Several
 // independent stimulus vectors may be batched in one run by separating them
-// with ';' in -event — they share one levelization of the netlist. By
-// default only the gates inside the stimulated inputs' fanout cones are
-// scheduled (-sparse=false forces the dense full-schedule walk; results are
-// bit-identical, sparse is just faster on partial stimuli).
+// with ';' in -event — they share one levelization of the netlist. Only
+// the gates an event actually reaches are evaluated, so partial stimuli
+// cost a fraction of a full one.
 //
 // ECO-style what-if queries: -delta re-times the -event baseline under a
 // stimulus edit (-delta sets/replaces events, -delta-remove withdraws them)
@@ -72,7 +71,6 @@ func main() {
 		loadFF  = flag.Float64("cl", 100, "characterization load in fF")
 		reqPS   = flag.Float64("required", 0, "required time at primary outputs in ps (0 = no slack report)")
 		workers = flag.Int("workers", 0, "evaluation workers per level (0 = one per CPU, 1 = serial)")
-		sparse  = flag.Bool("sparse", true, "cone-pruned sparse scheduling (false = dense full-schedule walk; results are identical)")
 		server  = flag.String("server", "", "stad base URL; analysis runs on the daemon instead of in-process")
 		tracef  = flag.String("trace", "", "write a Chrome trace_event JSON of the engine phases to this file (load in chrome://tracing or Perfetto)")
 		explain = flag.String("explain", "", "comma-separated nets: print the proximity decision trace behind each net's arrivals")
@@ -106,7 +104,7 @@ func main() {
 		if *server != "" {
 			err = runRemote(*server, *netlist, *events, *mode, *deltaS, *deltaR, mc, *pulseF)
 		} else {
-			err = run(*netlist, *events, *char, *models, *mode, *full, *loadFF, *reqPS, *workers, *sparse, *tracef, *explain, *deltaS, *deltaR, mc, *pulseF)
+			err = run(*netlist, *events, *char, *models, *mode, *full, *loadFF, *reqPS, *workers, *tracef, *explain, *deltaS, *deltaR, mc, *pulseF)
 		}
 	}
 	if err != nil {
@@ -135,7 +133,7 @@ func flagConflicts(pulseFilter bool, mc *mcSpec, deltaSet, deltaRemove, server, 
 	return nil
 }
 
-func run(netPath, eventSpec, charList, modelList, mode string, full bool, loadFF, reqPS float64, workers int, sparse bool, tracePath, explainList, deltaSet, deltaRemove string, mc *mcSpec, pulseFilter bool) error {
+func run(netPath, eventSpec, charList, modelList, mode string, full bool, loadFF, reqPS float64, workers int, tracePath, explainList, deltaSet, deltaRemove string, mc *mcSpec, pulseFilter bool) error {
 	lib := sta.NewLibrary()
 
 	// Load pre-characterized models.
@@ -191,7 +189,7 @@ func run(netPath, eventSpec, charList, modelList, mode string, full bool, loadFF
 	if modes == nil {
 		return fmt.Errorf("unknown mode %q", mode)
 	}
-	opt := sta.Options{Workers: workers, Dense: !sparse, PulseFiltering: pulseFilter}
+	opt := sta.Options{Workers: workers, PulseFiltering: pulseFilter}
 	var tr *obs.Trace
 	if tracePath != "" {
 		tr = obs.NewTrace()

@@ -74,7 +74,6 @@ func main() {
 		lib         = flag.String("lib", ".", "model library directory (charz JSON files)")
 		cacheSize   = flag.Int("cache", 32, "model cache capacity (cells)")
 		workers     = flag.Int("workers", 0, "analysis workers (0 = one per CPU)")
-		sparse      = flag.Bool("sparse", true, "cone-pruned sparse scheduling (false = dense full-schedule walk; results are identical)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request analysis budget")
 		maxInflight = flag.Int("max-inflight", 64, "admitted concurrent requests; beyond it requests get 429")
 		maxNetlists = flag.Int("max-netlists", 64, "resident compiled netlists (LRU beyond)")
@@ -109,7 +108,6 @@ func main() {
 
 	cfg := service.Config{
 		Workers:            *workers,
-		Dense:              !*sparse,
 		MaxInflight:        *maxInflight,
 		RequestTimeout:     *timeout,
 		MaxNetlists:        *maxNetlists,
@@ -185,7 +183,7 @@ func serveListeners(ln, opsLn net.Listener, cfg service.Config, drain time.Durat
 	bi := service.ReadBuildInfo()
 	logger.Info("build", "version", bi.Version, "goVersion", bi.GoVersion, "gomaxprocs", bi.GOMAXPROCS)
 	logger.Info("listening", "addr", ln.Addr().String(),
-		"workers", cfg.Workers, "dense", cfg.Dense, "maxInflight", cfg.MaxInflight)
+		"workers", cfg.Workers, "maxInflight", cfg.MaxInflight)
 	select {
 	case err := <-errc:
 		return err

@@ -136,14 +136,14 @@ func editCircuit(t *testing.T, cfg Config, c *sta.Circuit) {
 }
 
 // TestOracleIncrementalCompile: after a structural edit, the incrementally
-// recompiled handle must produce analyses and cone tables bit-identical to
+// recompiled handle must produce analyses and fanout cones bit-identical to
 // compiling an identically constructed circuit from scratch — re-levelizing
 // only downstream of the edit must never change the answer.
 func TestOracleIncrementalCompile(t *testing.T) {
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		// Analyze once pre-edit so the old handle exists and carries cones —
-		// the state the incremental path reuses.
+		// Analyze once pre-edit so the old handle exists and carries its
+		// consumer table — the state the incremental path reuses.
 		if _, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1}); err != nil {
 			t.Fatalf("%s: pre-edit analyze: %v", cfg.Name, err)
 		}
@@ -173,8 +173,8 @@ func TestOracleIncrementalCompile(t *testing.T) {
 			t.Errorf("%s: incremental recompile diverges from from-scratch: %v", cfg.Name, err)
 		}
 
-		// Cone tables must match index-for-index (both circuits list gates in
-		// the same construction order).
+		// Cones must match index-for-index (both circuits list gates in the
+		// same construction order).
 		inc, err := c.Compile()
 		if err != nil {
 			t.Fatalf("%s: compile: %v", cfg.Name, err)

@@ -113,8 +113,8 @@ func (cfg Config) WireVector(c *sta.Circuit, k int) []service.Event {
 
 // PartialWireVector is WireVector k restricted to a seeded subset of about
 // a quarter of the primary inputs (always at least one) — the
-// partial-activity stimulus shape cone-pruned sparse scheduling exists for,
-// where dense and sparse walks genuinely schedule different gate sets.
+// partial-activity stimulus shape where the engine's walk skips gates a
+// dense level walk would visit.
 func (cfg Config) PartialWireVector(c *sta.Circuit, k int) []service.Event {
 	full := cfg.WireVector(c, k)
 	rng := rand.New(rand.NewSource(cfg.Seed*2_000_003 + int64(k)))
@@ -174,8 +174,8 @@ func Arrivals(c *sta.Circuit, res *sta.Result) map[ArrivalKey]sta.Arrival {
 }
 
 // DiffExact requires two arrival maps to be bit-identical: same keys, and
-// per key the same Time, TT, and UsedInputs. The returned error names the
-// first mismatching net. rename maps a's net names into b's namespace (nil
+// per key the same Time, TT, UsedInputs and FromPin. The returned error
+// names the first mismatching net. rename maps a's net names into b's namespace (nil
 // = identity).
 func DiffExact(a, b map[ArrivalKey]sta.Arrival, rename map[string]string) error {
 	mapKey := func(k ArrivalKey) ArrivalKey {
@@ -195,9 +195,9 @@ func DiffExact(a, b map[ArrivalKey]sta.Arrival, rename map[string]string) error 
 		if !ok {
 			return fmt.Errorf("net %s %v present in one result only", k.Net, k.Dir)
 		}
-		if av.Time != bv.Time || av.TT != bv.TT || av.UsedInputs != bv.UsedInputs {
-			return fmt.Errorf("net %s %v: (t=%.18e tt=%.18e used=%d) vs (t=%.18e tt=%.18e used=%d)",
-				k.Net, k.Dir, av.Time, av.TT, av.UsedInputs, bv.Time, bv.TT, bv.UsedInputs)
+		if av.Time != bv.Time || av.TT != bv.TT || av.UsedInputs != bv.UsedInputs || av.FromPin != bv.FromPin {
+			return fmt.Errorf("net %s %v: (t=%.18e tt=%.18e used=%d pin=%d) vs (t=%.18e tt=%.18e used=%d pin=%d)",
+				k.Net, k.Dir, av.Time, av.TT, av.UsedInputs, av.FromPin, bv.Time, bv.TT, bv.UsedInputs, bv.FromPin)
 		}
 	}
 	return nil

@@ -10,8 +10,9 @@ package difftest
 //     path. The feature must be a pure no-op until both the option and the
 //     characterization data are present.
 //  2. Schedule independence: the verdicts are a function of the committed
-//     arrival pairs, not of how the walk was scheduled, so sparse/dense and
-//     serial/parallel runs must agree bit for bit, counters included.
+//     arrival pairs, not of how the walk was scheduled, so serial and
+//     parallel walks and the dense reference walk must agree bit for bit,
+//     counters included.
 //
 // The third oracle leaves the macromodel entirely: it characterizes a real
 // nand2 with the spice backend, then checks the engine's filter/propagate
@@ -85,40 +86,27 @@ func TestOracleGlitchDisabledIdentity(t *testing.T) {
 	}
 }
 
-// TestOracleGlitchScheduleIdentity: with filtering on, sparse/dense and
-// serial/parallel schedules must produce bit-identical arrivals and equal
-// verdict counters on every config.
+// TestOracleGlitchScheduleIdentity: with filtering on, the serial and
+// parallel walks must produce bit-identical arrivals and equal verdict
+// counters on every config, and both must match the dense reference walk.
 func TestOracleGlitchScheduleIdentity(t *testing.T) {
 	judged := 0
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		ref, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: true})
+		ref, err := runDenseRef(c, evs, cfg.Mode, true)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", cfg.Name, err)
 		}
-		for _, alt := range []struct {
-			name string
-			opt  sta.Options
-		}{
-			{"dense serial", sta.Options{Workers: 1, Dense: true, PulseFiltering: true}},
-			{"sparse parallel", sta.Options{Workers: 8, PulseFiltering: true}},
-			{"dense parallel", sta.Options{Workers: 8, Dense: true, PulseFiltering: true}},
-		} {
-			got, err := c.AnalyzeOpts(evs, cfg.Mode, alt.opt)
+		for _, workers := range []int{1, 8} {
+			got, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: workers, PulseFiltering: true})
 			if err != nil {
-				t.Fatalf("%s: %s: %v", cfg.Name, alt.name, err)
+				t.Fatalf("%s: workers=%d: %v", cfg.Name, workers, err)
 			}
-			if err := DiffExact(Arrivals(c, ref), Arrivals(c, got), nil); err != nil {
-				t.Errorf("%s: %s diverges from sparse serial: %v", cfg.Name, alt.name, err)
-			}
-			if got.Stats.PulsesFiltered != ref.Stats.PulsesFiltered ||
-				got.Stats.PulsesDegraded != ref.Stats.PulsesDegraded {
-				t.Errorf("%s: %s counters (%d,%d) != reference (%d,%d)", cfg.Name, alt.name,
-					got.Stats.PulsesFiltered, got.Stats.PulsesDegraded,
-					ref.Stats.PulsesFiltered, ref.Stats.PulsesDegraded)
+			if err := diffRef(c, got, ref); err != nil {
+				t.Errorf("%s: workers=%d diverges from the dense reference: %v", cfg.Name, workers, err)
 			}
 		}
-		judged += ref.Stats.PulsesFiltered + ref.Stats.PulsesDegraded
+		judged += ref.stats.PulsesFiltered + ref.stats.PulsesDegraded
 	}
 	if judged == 0 {
 		t.Fatal("no pulse judged across the whole sweep — oracle is vacuous")

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -89,85 +90,106 @@ func TestOracleBatchVsPerVector(t *testing.T) {
 	}
 }
 
-// TestOracleSparseVsDense: cone-pruned sparse scheduling must be
-// bit-identical to the dense full-schedule walk on every config, for both a
-// full-activity vector and a partial one (the shape where the schedules
-// genuinely differ). The sweep also proves itself non-vacuous: across the
-// partial vectors sparse must schedule strictly fewer gates than dense in
-// aggregate, or the pruning never engaged.
+// refVectors returns a config's full-activity vector 0 and partial-activity
+// vector 1 as engine events.
+func refVectors(t *testing.T, cfg Config, c *sta.Circuit) []struct {
+	label  string
+	events []sta.PIEvent
+} {
+	t.Helper()
+	out := []struct {
+		label  string
+		events []sta.PIEvent
+	}{{label: "full"}, {label: "partial"}}
+	for i, vec := range [][]service.Event{cfg.WireVector(c, 0), cfg.PartialWireVector(c, 1)} {
+		evs, err := ToPIEvents(c, vec)
+		if err != nil {
+			t.Fatalf("%s/%s: events: %v", cfg.Name, out[i].label, err)
+		}
+		out[i].events = evs
+	}
+	return out
+}
+
+// TestOracleSparseVsDense: the engine's walk — which runs only the gates
+// with a changed input — must be bit-identical to the dense reference walk
+// (reference_test.go), which visits every gate of every level, on every
+// config: full- and partial-activity vectors, pulse filtering off and on,
+// serial and parallel. Arrivals and workload counters must match. The
+// sweep proves itself non-vacuous: on partial vectors the walk must run
+// strictly fewer gates than the netlists hold in aggregate, and filtering
+// must judge pulses somewhere.
 func TestOracleSparseVsDense(t *testing.T) {
-	var scheduledSparse, scheduledDense int
+	var ranPartial, gatesPartial, judged int
 	for _, cfg := range Configs(nConfigs) {
 		c, err := cfg.Build()
 		if err != nil {
 			t.Fatalf("%s: build: %v", cfg.Name, err)
 		}
-		for _, vec := range []struct {
-			label  string
-			events []service.Event
-		}{
-			{"full", cfg.WireVector(c, 0)},
-			{"partial", cfg.PartialWireVector(c, 1)},
-		} {
-			evs, err := ToPIEvents(c, vec.events)
-			if err != nil {
-				t.Fatalf("%s/%s: events: %v", cfg.Name, vec.label, err)
-			}
-			dense, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1, Dense: true})
-			if err != nil {
-				t.Fatalf("%s/%s: dense: %v", cfg.Name, vec.label, err)
-			}
-			sparse, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 4})
-			if err != nil {
-				t.Fatalf("%s/%s: sparse: %v", cfg.Name, vec.label, err)
-			}
-			if err := DiffExact(Arrivals(c, dense), Arrivals(c, sparse), nil); err != nil {
-				t.Errorf("%s/%s: sparse diverges from dense: %v", cfg.Name, vec.label, err)
-			}
-			if sparse.Stats.GatesEvaluated != dense.Stats.GatesEvaluated {
-				t.Errorf("%s/%s: sparse evaluated %d gates, dense %d — pruning changed the work, not just the schedule",
-					cfg.Name, vec.label, sparse.Stats.GatesEvaluated, dense.Stats.GatesEvaluated)
-			}
-			if vec.label == "partial" {
-				scheduledSparse += sparse.Stats.GatesScheduled
-				scheduledDense += dense.Stats.GatesScheduled
+		for _, vec := range refVectors(t, cfg, c) {
+			for _, filter := range []bool{false, true} {
+				ref, err := runDenseRef(c, vec.events, cfg.Mode, filter)
+				if err != nil {
+					t.Fatalf("%s/%s: reference: %v", cfg.Name, vec.label, err)
+				}
+				for _, workers := range []int{1, 8} {
+					label := fmt.Sprintf("%s/%s/filter=%v/workers=%d", cfg.Name, vec.label, filter, workers)
+					res, err := c.AnalyzeOpts(vec.events, cfg.Mode, sta.Options{Workers: workers, PulseFiltering: filter})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if err := diffRef(c, res, ref); err != nil {
+						t.Errorf("%s: walk diverges from the dense reference: %v", label, err)
+					}
+					if vec.label == "partial" && !filter && workers == 1 {
+						ranPartial += res.Stats.GatesScheduled
+						gatesPartial += len(c.Gates)
+					}
+				}
+				judged += ref.stats.PulsesFiltered + ref.stats.PulsesDegraded
 			}
 		}
 	}
-	if scheduledSparse >= scheduledDense {
-		t.Fatalf("sparse scheduled %d gates vs dense %d on partial vectors — pruning never engaged, oracle vacuous",
-			scheduledSparse, scheduledDense)
+	if ranPartial >= gatesPartial {
+		t.Fatalf("the walk ran %d of %d gates on partial vectors — it never skipped one, oracle vacuous",
+			ranPartial, gatesPartial)
+	}
+	if judged == 0 {
+		t.Fatal("no pulse judged across the sweep — the filtering half is vacuous")
 	}
 }
 
 // TestOracleZeroConeStimulus: stimulating only primary inputs with no
-// fanout at all must succeed with an empty schedule — the stimulated PIs'
-// own arrivals and nothing else. Run against a circuit where one PI drives
-// gates and one drives nothing, under both schedules.
+// fanout at all must succeed with an empty walk — the stimulated PIs' own
+// arrivals and nothing else, exactly as the dense reference reports.
 func TestOracleZeroConeStimulus(t *testing.T) {
-	c, in, out, err := sta.SynthChain(8)
+	c, _, out, err := sta.SynthChain(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = in
 	dangling := c.Input("dangling")
 	evs := []sta.PIEvent{{Net: dangling, Dir: waveform.Rising, Time: 0, TT: 250e-12}}
-	for _, opt := range []sta.Options{{Workers: 1}, {Workers: 1, Dense: true}} {
-		res, err := c.AnalyzeOpts(evs, sta.Proximity, opt)
+	ref, err := runDenseRef(c, evs, sta.Proximity, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		res, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: workers})
 		if err != nil {
-			t.Fatalf("dense=%v: zero-cone stimulus errored: %v", opt.Dense, err)
+			t.Fatalf("workers=%d: zero-cone stimulus errored: %v", workers, err)
 		}
-		if res.Stats.GatesEvaluated != 0 {
-			t.Fatalf("dense=%v: evaluated %d gates with no reachable fanout", opt.Dense, res.Stats.GatesEvaluated)
+		if err := diffRef(c, res, ref); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.Stats.GatesEvaluated != 0 || res.Stats.GatesScheduled != 0 {
+			t.Fatalf("workers=%d: ran %d / evaluated %d gates with no reachable fanout",
+				workers, res.Stats.GatesScheduled, res.Stats.GatesEvaluated)
 		}
 		if _, ok := res.Latest(out); ok {
-			t.Fatalf("dense=%v: unreachable output carries an arrival", opt.Dense)
+			t.Fatalf("workers=%d: unreachable output carries an arrival", workers)
 		}
 		if _, ok := res.Arrival(dangling, waveform.Rising); !ok {
-			t.Fatalf("dense=%v: stimulated PI lost its arrival", opt.Dense)
-		}
-		if !opt.Dense && res.Stats.GatesScheduled != 0 {
-			t.Fatalf("sparse scheduled %d gates for an empty cone, want 0", res.Stats.GatesScheduled)
+			t.Fatalf("workers=%d: stimulated PI lost its arrival", workers)
 		}
 	}
 }

@@ -4,17 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/service"
 	"repro/internal/sta"
 )
 
 // TestOracleStatsSparseVsDense: the workload counters in Result.Stats are
 // part of the observable contract — the service aggregates them into
-// /metrics — so sparse scheduling must report exactly the work dense does.
-// GatesScheduled is the one legitimate difference (that delta IS the
-// pruning); everything the engine actually evaluated must match, and the
-// always-on phase timers must be internally consistent (non-negative,
-// disjoint sum bounded by the measured wall) on every config.
+// /metrics — so the walk must report exactly the work the dense reference
+// does. GatesScheduled counts the gates the walk ran, and every gate a full
+// analysis runs has an input arrival, so it must equal GatesEvaluated on
+// every config, filtered or not. The always-on phase timers must be
+// internally consistent (non-negative, disjoint sum bounded by the measured
+// wall) on every config too.
 func TestOracleStatsSparseVsDense(t *testing.T) {
 	checkPhases := func(label string, s sta.Stats) {
 		t.Helper()
@@ -35,40 +35,43 @@ func TestOracleStatsSparseVsDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", cfg.Name, err)
 		}
-		for _, vec := range []struct {
-			label  string
-			events []service.Event
-		}{
-			{"full", cfg.WireVector(c, 0)},
-			{"partial", cfg.PartialWireVector(c, 1)},
-		} {
-			evs, err := ToPIEvents(c, vec.events)
-			if err != nil {
-				t.Fatalf("%s/%s: events: %v", cfg.Name, vec.label, err)
+		levels, err := c.Levels()
+		if err != nil {
+			t.Fatalf("%s: levels: %v", cfg.Name, err)
+		}
+		for _, vec := range refVectors(t, cfg, c) {
+			for _, filter := range []bool{false, true} {
+				label := cfg.Name + "/" + vec.label
+				if filter {
+					label += "/filtered"
+				}
+				ref, err := runDenseRef(c, vec.events, cfg.Mode, filter)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
+				}
+				res, err := c.AnalyzeOpts(vec.events, cfg.Mode, sta.Options{Workers: 2, PulseFiltering: filter})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				s, d := res.Stats, ref.stats
+				if s.GatesEvaluated != d.GatesEvaluated ||
+					s.Evaluations != d.Evaluations ||
+					s.ProximityEvals != d.ProximityEvals ||
+					s.SingleArcEvals != d.SingleArcEvals ||
+					s.Levels != len(levels) {
+					t.Errorf("%s: stats diverge walk vs reference:\n"+
+						"  gatesEvaluated %d/%d evaluations %d/%d proximity %d/%d singleArc %d/%d levels %d/%d",
+						label,
+						s.GatesEvaluated, d.GatesEvaluated, s.Evaluations, d.Evaluations,
+						s.ProximityEvals, d.ProximityEvals, s.SingleArcEvals, d.SingleArcEvals,
+						s.Levels, len(levels))
+				}
+				if s.GatesScheduled != s.GatesEvaluated {
+					t.Errorf("%s: the walk ran %d gates but %d evaluated — a full analysis runs only gates with an input arrival",
+						label, s.GatesScheduled, s.GatesEvaluated)
+				}
+				checkPhases(label, s)
 			}
-			dense, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 2, Dense: true})
-			if err != nil {
-				t.Fatalf("%s/%s: dense: %v", cfg.Name, vec.label, err)
-			}
-			sparse, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 2})
-			if err != nil {
-				t.Fatalf("%s/%s: sparse: %v", cfg.Name, vec.label, err)
-			}
-			d, s := dense.Stats, sparse.Stats
-			if d.GatesEvaluated != s.GatesEvaluated ||
-				d.Evaluations != s.Evaluations ||
-				d.ProximityEvals != s.ProximityEvals ||
-				d.SingleArcEvals != s.SingleArcEvals ||
-				d.Levels != s.Levels {
-				t.Errorf("%s/%s: stats diverge dense vs sparse:\n"+
-					"  gatesEvaluated %d/%d evaluations %d/%d proximity %d/%d singleArc %d/%d levels %d/%d",
-					cfg.Name, vec.label,
-					d.GatesEvaluated, s.GatesEvaluated, d.Evaluations, s.Evaluations,
-					d.ProximityEvals, s.ProximityEvals, d.SingleArcEvals, s.SingleArcEvals,
-					d.Levels, s.Levels)
-			}
-			checkPhases(cfg.Name+"/"+vec.label+"/dense", d)
-			checkPhases(cfg.Name+"/"+vec.label+"/sparse", s)
 		}
 	}
 }

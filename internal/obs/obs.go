@@ -33,13 +33,18 @@ const (
 	// PhaseLevelize is the topological-sort portion inside a cold compile
 	// (a sub-interval of PhaseCompile; excluded from Sum totals).
 	PhaseLevelize
-	// PhaseCones is time spent waiting for the per-PI fanout cone tables
-	// (paid by the first sparse analyze on a handle, ~zero afterwards).
+	// PhaseCones is time spent waiting for the compiled handle's
+	// net -> consuming-gate table, the one the propagation walk fans out
+	// over (paid by the first walk on a handle, ~zero afterwards). It keeps
+	// the name "cones" that phase histograms and traces already report.
 	PhaseCones
-	// PhaseSchedule is the per-vector sparse schedule construction: cone
-	// union, level bucketing, netlist-order sort.
+	// PhaseSchedule is the walk's queueing: bucketing the consumers of the
+	// seeded nets by level, then sorting each level's bucket into netlist
+	// order. Queueing the fanout of committed outputs happens inside the
+	// commit and counts there.
 	PhaseSchedule
-	// PhaseSeed is stimulus validation and primary-input arrival seeding.
+	// PhaseSeed is stimulus validation and primary-input arrival seeding
+	// (for a delta: validating and applying the edit).
 	PhaseSeed
 	// PhaseEval is the per-level gate evaluation wall time, summed over
 	// levels (the parallel region).
@@ -54,11 +59,11 @@ const (
 	// invariant (Sum() <= Wall) holds. Zero unless Options.PulseFiltering
 	// is on.
 	PhaseGlitch
-	// PhaseDelta is the event-driven delta re-analysis: baseline clone,
-	// delta application, and the dirty-cone propagation walk. Only
-	// AnalyzeDelta records it; full analyses report zero. It is a top-level
-	// phase — delta analyses do not additionally record seed/eval/commit, so
-	// the disjointness invariant (Sum() <= Wall) holds for them too.
+	// PhaseDelta is what a delta re-analysis adds to a full one: cloning
+	// the baseline's arrival store, counters and pulse state. Only
+	// AnalyzeDelta records it; full analyses report zero. The delta's seed
+	// and walk land in seed/schedule/eval/commit/glitch like a full
+	// analysis', so the disjointness invariant (Sum() <= Wall) holds.
 	PhaseDelta
 	// PhaseMC is the Monte-Carlo sample loop: the wall time AnalyzeMC spends
 	// running perturbed samples and aggregating their arrivals. Like

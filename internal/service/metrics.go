@@ -114,10 +114,10 @@ var phaseBounds = []time.Duration{
 // Histogram is a fixed-bucket duration histogram implementing expvar.Var:
 // String renders the JSON that /metrics embeds directly.
 //
-// Observe never blocks and writers never wait on each other: an observation
-// is three atomic adds (bucket, sum, n) bracketed by a write-intent counter
-// pair. Readers use that pair as a seqlock — snapshot retries until it
-// observed a window with no observation in flight — so a rendered count and
+// Observations share the read side of mu, so writers never wait on each
+// other: an observation is two atomic adds under RLock. A snapshot takes
+// the write side: it waits for in-flight observations to land and holds
+// new ones back only while it copies the counters, so a rendered count and
 // its sum always belong to the same set of observations.
 type Histogram struct {
 	bounds []time.Duration
@@ -126,13 +126,7 @@ type Histogram struct {
 	boundsNs []float64
 	counts   []atomic.Int64 // len(bounds)+1; last bucket is overflow
 	sum      atomic.Int64   // nanoseconds
-	n        atomic.Int64
-	// writeBegin/writeEnd bracket every observation (begin incremented
-	// before the adds, end after). A reader that sees begin == end across
-	// its loads saw no observation mid-flight: writers that would tear the
-	// snapshot had either fully landed or not yet begun.
-	writeBegin atomic.Int64
-	writeEnd   atomic.Int64
+	mu       sync.RWMutex   // shared by Observe, exclusive to snapshot
 }
 
 func newHistogram(bounds []time.Duration) *Histogram {
@@ -144,48 +138,30 @@ func newHistogram(bounds []time.Duration) *Histogram {
 }
 
 // Observe records one duration. Safe for any number of concurrent callers;
-// never blocks (the seqlock counters are plain atomic adds — only readers
-// retry).
+// it waits only while a snapshot copies the counters.
 func (h *Histogram) Observe(d time.Duration) {
 	i := 0
 	for i < len(h.bounds) && d > h.bounds[i] {
 		i++
 	}
-	h.writeBegin.Add(1)
+	h.mu.RLock()
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
-	h.n.Add(1)
-	h.writeEnd.Add(1)
+	h.mu.RUnlock()
 }
 
-// snapshotAttempts bounds the seqlock retry loop: under a sustained write
-// storm the reader eventually takes its best read rather than spinning
-// forever (buckets still sum to the reported total by construction; only the
-// mean can be off by the observations in flight during that final read).
-const snapshotAttempts = 64
-
 // snapshot takes a consistent read of the histogram: counts, their total,
-// and the matching sum. The seqlock discipline (read end, load everything,
-// check begin caught up to that end) guarantees no observation was mid-
-// flight across the loads, so the sum belongs to exactly the counted
-// observations. total is the sum of the loaded buckets, never the n counter,
-// so buckets always add up to the reported count.
+// and the matching sum. total is the sum of the loaded buckets, so buckets
+// always add up to the reported count.
 func (h *Histogram) snapshot() (counts []int64, total int64, sum time.Duration) {
 	counts = make([]int64, len(h.counts))
-	var s int64
-	for attempt := 0; attempt < snapshotAttempts; attempt++ {
-		end := h.writeEnd.Load()
-		total = 0
-		for i := range h.counts {
-			counts[i] = h.counts[i].Load()
-			total += counts[i]
-		}
-		s = h.sum.Load()
-		if h.writeBegin.Load() == end {
-			break
-		}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
 	}
-	return counts, total, time.Duration(s)
+	return counts, total, time.Duration(h.sum.Load())
 }
 
 // quantile estimates the q-quantile (0 < q < 1) through the shared
@@ -364,31 +340,12 @@ func (m *Metrics) addPulses(filtered, degraded, unjudged int) {
 	m.PulsesUnjudged.Add(int64(unjudged))
 }
 
-// observePhases folds one analysis's phase timings in. The per-call phases
-// (schedule, seed, eval, commit) are recorded unconditionally; the
-// amortized ones (compile, levelize, cone build) only when this call
-// actually paid them — a memoized hit reports them as zero, and recording
-// those would drown the one real build in a flood of zero observations.
+// observePhases folds one analysis's phase timings in, recording only the
+// phases the call spent time in. A phase a call never ran — glitch without
+// pulse filtering, compile on a memoized handle, the consumer-table build
+// after the first walk, mc outside Monte-Carlo — reads zero, and recording
+// those zeroes would flood its histogram until the percentiles read 0.
 func (m *Metrics) observePhases(pt obs.PhaseTimes) {
-	for _, p := range obs.Phases() {
-		d := pt[p]
-		switch p {
-		case obs.PhaseCompile, obs.PhaseLevelize, obs.PhaseCones, obs.PhaseDelta, obs.PhaseMC:
-			if d <= 0 {
-				continue
-			}
-		}
-		m.phases[p].Observe(d)
-	}
-}
-
-// observeNonzeroPhases folds in an analysis that populates only the phases
-// it actually ran — delta re-analysis (cone build if first sparse use, plus
-// the delta walk) and Monte-Carlo (compile plus the mc bucket). Everything
-// is conditional here, because recording the schedule/seed/eval/commit
-// zeroes these runs never execute at the top level would drown the
-// full-analysis histograms.
-func (m *Metrics) observeNonzeroPhases(pt obs.PhaseTimes) {
 	for _, p := range obs.Phases() {
 		if d := pt[p]; d > 0 {
 			m.phases[p].Observe(d)

@@ -227,4 +227,9 @@ func TestMetricsJSONPhases(t *testing.T) {
 			t.Fatalf("phase %v histogram empty after an analyze", p)
 		}
 	}
+	// An unfiltered analyze spends nothing on pulse judgment; a zero
+	// observation would drag the glitch percentiles to 0.
+	if _, total, _ := s.Metrics().Phase(obs.PhaseGlitch).snapshot(); total != 0 {
+		t.Fatalf("glitch phase histogram holds %d observations after an unfiltered analyze, want 0", total)
+	}
 }

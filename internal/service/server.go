@@ -49,13 +49,6 @@ type Config struct {
 	// a baseline indexes the compiled handle's arrival slab and is
 	// meaningless without it. Default 128.
 	MaxBaselines int
-	// Dense disables cone-pruned sparse scheduling (stad -sparse=false).
-	// Results are bit-identical either way; dense also sheds the per-netlist
-	// cone tables. Default false: analyses schedule only the gates inside
-	// the stimulated inputs' fanout cones, reusing the cones precomputed on
-	// the uploaded netlist's compiled handle across every request and batch
-	// vector that names it.
-	Dense bool
 	// Logger receives one structured line per request (id, method, path,
 	// status, duration, engine cost) plus admission rejections. Nil discards
 	// the logs — tests and embedded uses stay silent by default.
@@ -985,7 +978,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opt := sta.Options{Workers: s.cfg.Workers, Dense: s.cfg.Dense, PulseFiltering: req.PulseFilter,
+	opt := sta.Options{Workers: s.cfg.Workers, PulseFiltering: req.PulseFilter,
 		Trace: st.trace()}
 	res, err := compiled.Analyze(r.Context(), evs, mode, opt)
 	if err != nil {
@@ -1045,7 +1038,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opt := sta.Options{Workers: s.cfg.Workers, Dense: s.cfg.Dense, PulseFiltering: req.PulseFilter,
+	opt := sta.Options{Workers: s.cfg.Workers, PulseFiltering: req.PulseFilter,
 		Trace: st.trace()}
 	res, err := compiled.AnalyzeDelta(r.Context(), bl.res, delta, opt)
 	if err != nil {
@@ -1056,7 +1049,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	vr := buildVectorResult(compiled.Circuit(), res, nets)
 	s.metrics.addStats(vr.GatesEvaluated, vr.ProximityEvals, vr.SingleArcEvals)
 	s.metrics.addPulses(vr.PulsesFiltered, vr.PulsesDegraded, vr.PulsesUnjudged)
-	s.metrics.observeNonzeroPhases(res.Stats.Phases)
+	s.metrics.observePhases(res.Stats.Phases)
 	resp := DeltaResponse{
 		Mode:             res.Mode.String(),
 		VectorResult:     vr,
@@ -1112,7 +1105,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := compiled.Analyze(r.Context(), evs, mode,
-		sta.Options{Workers: s.cfg.Workers, Dense: s.cfg.Dense, PulseFiltering: req.PulseFilter,
+		sta.Options{Workers: s.cfg.Workers, PulseFiltering: req.PulseFilter,
 			Trace: st.trace()})
 	if err != nil {
 		analysisError(w, err)
@@ -1212,7 +1205,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	results, err := compiled.AnalyzeBatch(r.Context(), batch, mode,
-		sta.Options{Workers: s.cfg.Workers, Dense: s.cfg.Dense, PulseFiltering: req.PulseFilter,
+		sta.Options{Workers: s.cfg.Workers, PulseFiltering: req.PulseFilter,
 			Trace: st.trace()})
 	if err != nil {
 		analysisError(w, err)
@@ -1316,7 +1309,6 @@ func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 		Corners: req.Corners, Bins: req.Bins,
 	}
 	opt.Workers = s.cfg.Workers
-	opt.Dense = s.cfg.Dense
 	opt.PulseFiltering = req.PulseFilter
 	opt.Trace = st.trace()
 	res, err := compiled.AnalyzeMC(ctx, evs, mode, opt)
@@ -1332,7 +1324,7 @@ func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ProximityEvals.Add(int64(res.Stats.ProximityEvals))
 	s.metrics.SingleArcEvals.Add(int64(res.Stats.SingleArcEvals))
 	s.metrics.addPulses(res.Stats.PulsesFiltered, res.Stats.PulsesDegraded, res.Stats.PulsesUnjudged)
-	s.metrics.observeNonzeroPhases(res.Stats.Phases)
+	s.metrics.observePhases(res.Stats.Phases)
 
 	resp := MCResponse{
 		Mode: res.Mode.String(), Samples: res.Samples, Seed: res.Seed, Sigma: res.Sigma,

@@ -4,13 +4,12 @@ package sta
 // function of which other inputs moved nearby, so what-if sweeps and ECO
 // re-timing generate streams of near-duplicate queries: the same netlist,
 // the same stimulus vector give or take a handful of primary-input events.
-// Re-running the full cone walk for each is almost entirely redundant — the
+// Re-running the full walk for each is almost entirely redundant — the
 // recomputed arrivals are bit-identical to the baseline everywhere the
-// perturbation's influence has died out. AnalyzeDelta exploits that: clone
-// the baseline arrival store, apply the delta at the primary inputs, then
-// propagate dirtiness forward through the net-to-consumer edges in level
-// order, re-running evalGate only on gates whose inputs changed and cutting
-// off wherever a recomputed output is bit-equal to what the baseline already
+// perturbation's influence has died out. AnalyzeDelta therefore runs the
+// engine's one walk (walk.go) from a clone of the baseline instead of from
+// an empty result: it seeds only the edit, and the walk's bit-equal cutoff
+// stops wherever a recomputed output matches what the baseline already
 // had. Gates the wavefront never reaches keep their baseline arrivals — and
 // because evalGate is deterministic over committed arrivals, the result is
 // bit-identical to a fresh full analysis of the edited vector (enforced by
@@ -20,8 +19,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"math"
-	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -43,28 +40,25 @@ type Delta struct {
 	Remove []DeltaRemove
 }
 
-// cloneForDelta copies a result's arrival store so the delta walk can
-// overwrite in place while the baseline stays immutable (and reusable as
-// the baseline of further deltas). The pulse state rides along: the verdict
-// map and the absorbed pairs' raw shapes are part of what "bit-identical to
-// a fresh filtered analysis" means, and the walk mutates both in place.
+// cloneForDelta copies a result's arrival store and workload counters so
+// the walk can update them in place while the baseline stays immutable (and
+// reusable as the baseline of further deltas). The pulse state rides along:
+// the verdict map and the absorbed pairs' raw shapes are part of what
+// "bit-identical to a fresh filtered analysis" means, and the walk mutates
+// both in place.
 func cloneForDelta(baseline *Result) *Result {
+	st := baseline.Stats
+	st.Phases, st.Wall = obs.PhaseTimes{}, 0 // the walk sets the rest afresh
 	return &Result{
 		Mode:           baseline.Mode,
+		Stats:          st,
 		idx:            append([]int32(nil), baseline.idx...),
 		arr:            append([]dirArrivals(nil), baseline.arr...),
+		handle:         baseline.handle,
 		pulseFiltering: baseline.pulseFiltering,
 		pulses:         maps.Clone(baseline.pulses),
 		pulseRaw:       maps.Clone(baseline.pulseRaw),
 	}
-}
-
-// slotValue reads a net's arrival pair without creating a slot.
-func slotValue(r *Result, id int32) dirArrivals {
-	if s := r.idx[id]; s != 0 {
-		return r.arr[s-1]
-	}
-	return dirArrivals{}
 }
 
 // AnalyzeDelta re-times a perturbed stimulus vector against a baseline
@@ -78,14 +72,15 @@ func slotValue(r *Result, id int32) dirArrivals {
 // arrivals, transition times, PulseInfo records and pulse counters — with
 // Stats.GatesReevaluated/GatesReused reporting how much of the baseline
 // survived. The baseline must come from this compiled handle — a baseline
-// from before a structural edit is rejected.
+// from another handle, such as one compiled before a structural edit, is
+// rejected.
 func (p *Compiled) AnalyzeDelta(ctx context.Context, baseline *Result, delta Delta, opt Options) (*Result, error) {
 	wallStart := time.Now()
 	if baseline == nil {
 		return nil, fmt.Errorf("sta: delta analysis requires a baseline result")
 	}
-	if len(baseline.idx) != p.numNets {
-		return nil, fmt.Errorf("sta: baseline indexes %d nets but the compiled handle has %d — it was produced by a different compile", len(baseline.idx), p.numNets)
+	if baseline.handle != p.id {
+		return nil, fmt.Errorf("sta: baseline was produced by a different compile than this handle (recompiled after a structural edit?) — run a full analysis for a new baseline")
 	}
 	if len(delta.Set) == 0 && len(delta.Remove) == 0 {
 		return nil, fmt.Errorf("sta: empty delta (no events set or removed)")
@@ -109,235 +104,47 @@ func (p *Compiled) AnalyzeDelta(ctx context.Context, baseline *Result, delta Del
 	}
 	defer deltaSpan.End()
 
-	c := p.c
-	mode := baseline.Mode
+	cloneStart := time.Now()
 	res := cloneForDelta(baseline)
-	res.Stats.Workers = 1
-	res.Stats.Levels = len(p.levelIdx)
-	res.Stats.Evaluations = baseline.Stats.Evaluations
-	res.Stats.ProximityEvals = baseline.Stats.ProximityEvals
-	res.Stats.SingleArcEvals = baseline.Stats.SingleArcEvals
-	res.Stats.GatesEvaluated = baseline.Stats.GatesEvaluated
-	res.Stats.PulsesFiltered = baseline.Stats.PulsesFiltered
-	res.Stats.PulsesDegraded = baseline.Stats.PulsesDegraded
-	res.Stats.PulsesUnjudged = baseline.Stats.PulsesUnjudged
-
-	// Apply the edit at the primary inputs: removes first, then sets, each
-	// with the same validation the full-analysis seed performs. touched
-	// collects the edited net IDs; dirtiness is decided afterwards by
-	// comparing the final seed against the baseline, so a Set that lands
-	// bit-equal to what the baseline already had (or a Remove+Set that
-	// round-trips) propagates nothing.
-	touched := make([]int32, 0, len(delta.Set)+len(delta.Remove))
-	for i, rm := range delta.Remove {
-		if rm.Net == nil || !c.piSet[rm.Net] {
-			name := "<nil>"
-			if rm.Net != nil {
-				name = rm.Net.Name
-			}
-			return nil, fmt.Errorf("sta: delta removes event on non-primary-input net %s", name)
-		}
-		if int(rm.Net.id) >= p.numNets {
-			return nil, fmt.Errorf("sta: delta removes event on net %s declared after compile", rm.Net.Name)
-		}
-		for _, prev := range delta.Remove[:i] {
-			if prev.Net == rm.Net && prev.Dir == rm.Dir {
-				return nil, fmt.Errorf("sta: duplicate delta remove of %v event on %s", rm.Dir, rm.Net.Name)
-			}
-		}
-		slot := res.idx[rm.Net.id]
-		if slot == 0 || !res.arr[slot-1].has[rm.Dir] {
-			return nil, fmt.Errorf("sta: delta removes absent %v event on primary input %s", rm.Dir, rm.Net.Name)
-		}
-		da := &res.arr[slot-1]
-		da.a[rm.Dir] = Arrival{}
-		da.has[rm.Dir] = false
-		touched = append(touched, rm.Net.id)
-	}
-	for i, ev := range delta.Set {
-		if ev.Net == nil || !c.piSet[ev.Net] {
-			name := "<nil>"
-			if ev.Net != nil {
-				name = ev.Net.Name
-			}
-			return nil, fmt.Errorf("sta: delta event on non-primary-input net %s", name)
-		}
-		if int(ev.Net.id) >= p.numNets {
-			return nil, fmt.Errorf("sta: delta event on net %s declared after compile (recompile the circuit)", ev.Net.Name)
-		}
-		if !(ev.TT > 0) || math.IsInf(ev.TT, 1) {
-			return nil, fmt.Errorf("sta: delta event on %s has non-positive or non-finite transition time %v", ev.Net.Name, ev.TT)
-		}
-		if math.IsNaN(ev.Time) || math.IsInf(ev.Time, 0) {
-			return nil, fmt.Errorf("sta: delta event on %s has non-finite time %v", ev.Net.Name, ev.Time)
-		}
-		for _, prev := range delta.Set[:i] {
-			if prev.Net == ev.Net && prev.Dir == ev.Dir {
-				return nil, fmt.Errorf("sta: duplicate %v delta event on primary input %s", ev.Dir, ev.Net.Name)
-			}
-		}
-		da := res.slot(ev.Net)
-		da.a[ev.Dir] = Arrival{Dir: ev.Dir, Time: ev.Time, TT: ev.TT}
-		da.has[ev.Dir] = true
-		touched = append(touched, ev.Net.id)
-	}
-
-	// The edited vector must still stimulate something, exactly as a full
-	// analysis rejects an empty vector. Any successful Set guarantees it;
-	// a remove-only delta needs the scan.
-	if len(delta.Set) == 0 {
-		alive := false
-		for _, pi := range c.PIs {
-			if int(pi.id) >= len(res.idx) {
-				continue
-			}
-			if da := slotValue(res, pi.id); da.has[0] || da.has[1] {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			return nil, fmt.Errorf("sta: delta removes every primary-input event (empty stimulus vector)")
-		}
-	}
-
-	conesStart := time.Now()
-	p.ensureConsumers()
-	conesWall := time.Since(conesStart)
-	res.Stats.Phases.Add(obs.PhaseCones, conesWall)
+	res.Stats.Phases.Add(obs.PhaseDelta, time.Since(cloneStart))
 
 	s := p.scratch.Get().(*evalScratch)
 	defer p.scratch.Put(s)
-	defer func() {
-		// The enqueued flags must be clean before the scratch returns to the
-		// pool on every exit path — sparseSchedule assumes a zeroed inCone.
-		for _, gi := range s.marked {
-			s.inCone[gi] = false
-		}
-		s.marked = s.marked[:0]
-	}()
-	s.marked = s.marked[:0]
-	for i := range s.buckets {
-		s.buckets[i] = s.buckets[i][:0]
+	// Apply the edit at the primary inputs with the full analysis' own
+	// validation. Whether an edited net is dirty is the walk's call: it
+	// compares the final seed against the baseline, so a Set that lands
+	// bit-equal to what the baseline already had (or a Remove+Set that
+	// round-trips) propagates nothing.
+	seedStart := time.Now()
+	if err := p.seed(res, delta.Set, delta.Remove, s, "delta "); err != nil {
+		return nil, err
 	}
+	// The edited vector must still stimulate something, exactly as a full
+	// analysis rejects an empty vector. Any successful Set guarantees it;
+	// a remove-only delta needs the scan.
+	if len(delta.Set) == 0 && !p.stimulated(res) {
+		return nil, fmt.Errorf("sta: delta removes every primary-input event (empty stimulus vector)")
+	}
+	res.Stats.Phases.Add(obs.PhaseSeed, time.Since(seedStart))
 
-	// enqueue marks every consumer of a changed net for re-evaluation,
-	// bucketed by topological level. Consumers always sit at a strictly
-	// higher level than their producing gate, so the ascending level walk
-	// below never revisits a processed bucket.
-	enqueue := func(netID int32) {
-		for _, gi := range p.consumers(netID) {
-			if !s.inCone[gi] {
-				s.inCone[gi] = true
-				s.marked = append(s.marked, gi)
-				s.buckets[p.gateLevel[gi]] = append(s.buckets[p.gateLevel[gi]], gi)
-			}
-		}
+	if err := p.walk(ctx, res, baseline, opt, s, 0); err != nil {
+		return nil, err
 	}
-	for _, id := range touched {
-		if slotValue(res, id) != slotValue(baseline, id) {
-			enqueue(id)
-		}
-	}
+	res.Stats.Wall = time.Since(wallStart)
+	return res, nil
+}
 
-	// Level-ordered dirty propagation: re-run evalGate on each marked gate
-	// against the committed (baseline-plus-updates) arrivals; commit and
-	// fan out only when the recomputed output differs from the baseline's,
-	// otherwise the wavefront dies right here. Serial — the wavefront is
-	// expected to be tiny against the netlist; batch-level parallelism
-	// belongs to the caller.
-	reevaluated, reevalWithBaseline := 0, 0
-	for li := range s.buckets {
-		bucket := s.buckets[li]
-		if len(bucket) == 0 {
+// stimulated reports whether any primary input carries an arrival in res.
+func (p *Compiled) stimulated(res *Result) bool {
+	for _, pi := range p.c.PIs {
+		if int(pi.id) >= p.numNets {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sta: delta analysis interrupted: %w", err)
-		}
-		// Netlist order within the level: deterministic evaluation order and
-		// the same first-error the full walk would report.
-		slices.Sort(bucket)
-		for _, gi := range bucket {
-			g := p.gateList[gi]
-			prev := slotValue(res, g.Out.id)
-			// prevRaw is the baseline evaluation's pre-filter shape. For an
-			// absorbed pair the committed store is empty while the evaluation
-			// work happened (and was counted), so the raw pair — kept by
-			// applyPulseFilter exactly for this — stands in for prev wherever
-			// the walk accounts for work rather than committed influence.
-			prevRaw := prev
-			if res.pulseFiltering {
-				if pi, ok := res.pulses[g.Out.id]; ok && pi.Filtered {
-					prevRaw = res.pulseRaw[g.Out.id]
-				}
-			}
-			mult := 1.0
-			if opt.Perturb != nil {
-				mult = opt.Perturb(gi)
-			}
-			out := evalGate(g, res, mode, &s.evs, mult)
-			if out.err != nil {
-				return nil, out.err
-			}
-			reevaluated++
-			if prevRaw.has[0] || prevRaw.has[1] {
-				reevalWithBaseline++
-			}
-			nextRaw := dirArrivals{a: out.a, has: out.has}
-			if res.pulseFiltering {
-				// Re-judge from a clean slate: withdraw the baseline's
-				// verdict (and its counter contribution), then let the filter
-				// record the fresh one — an unchanged verdict nets out to
-				// zero. This must happen even when the committed arrivals end
-				// up bit-equal: a gate with no baseline arrivals (absorbed
-				// pair) can still change its verdict, which is why arrival
-				// bit-equality alone is not a sound cutoff under filtering.
-				res.dropPulse(g.Out.id)
-				if out.has[0] && out.has[1] {
-					applyPulseFilter(g, &out, res)
-				}
-			}
-			// Evaluation counters diff the RAW shapes — the work performed —
-			// not the committed arrivals: a filtered pair clears the latter
-			// while the full path still counts the evaluation.
-			for d := range nextRaw.a {
-				if prevRaw.has[d] {
-					res.Stats.Evaluations--
-					if prevRaw.a[d].UsedInputs > 1 {
-						res.Stats.ProximityEvals--
-					} else {
-						res.Stats.SingleArcEvals--
-					}
-				}
-				if nextRaw.has[d] {
-					res.Stats.Evaluations++
-					if nextRaw.a[d].UsedInputs > 1 {
-						res.Stats.ProximityEvals++
-					} else {
-						res.Stats.SingleArcEvals++
-					}
-				}
-			}
-			if (prevRaw.has[0] || prevRaw.has[1]) && !(nextRaw.has[0] || nextRaw.has[1]) {
-				res.Stats.GatesEvaluated--
-			} else if !(prevRaw.has[0] || prevRaw.has[1]) && (nextRaw.has[0] || nextRaw.has[1]) {
-				res.Stats.GatesEvaluated++
-			}
-			next := dirArrivals{a: out.a, has: out.has}
-			if next == prev {
-				continue // committed influence died out: downstream keeps the baseline
-			}
-			*res.slot(g.Out) = next
-			enqueue(g.Out.id)
+		if da := slotValue(res, pi.id); da.has[0] || da.has[1] {
+			return true
 		}
 	}
-	res.Stats.GatesScheduled = reevaluated
-	res.Stats.GatesReevaluated = reevaluated
-	res.Stats.GatesReused = baseline.Stats.GatesEvaluated - reevalWithBaseline
-	res.Stats.Wall = time.Since(wallStart)
-	res.Stats.Phases.Add(obs.PhaseDelta, res.Stats.Wall-conesWall)
-	return res, nil
+	return false
 }
 
 // AnalyzeDelta is the circuit-level convenience wrapper: it compiles (or
@@ -346,20 +153,7 @@ func (p *Compiled) AnalyzeDelta(ctx context.Context, baseline *Result, delta Del
 // been produced against the circuit's current structure — after a
 // structural edit the handle recompiles and the stale baseline is rejected.
 func (c *Circuit) AnalyzeDelta(baseline *Result, delta Delta, opt Options) (*Result, error) {
-	compileStart := time.Now()
-	p, fresh, err := c.compileTimed(opt.Trace)
-	if err != nil {
-		return nil, err
-	}
-	compileWall := time.Since(compileStart)
-	res, err := p.AnalyzeDelta(context.Background(), baseline, delta, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Phases.Add(obs.PhaseCompile, compileWall)
-	if fresh {
-		res.Stats.Phases.Add(obs.PhaseLevelize, p.levelizeWall)
-	}
-	res.Stats.Wall += compileWall
-	return res, nil
+	return withCompile(c, opt.Trace, func(p *Compiled) (*Result, error) {
+		return p.AnalyzeDelta(context.Background(), baseline, delta, opt)
+	}, (*Result).stats)
 }

@@ -22,10 +22,10 @@ func perturbOne(evs []sta.PIEvent, i int) ([]sta.PIEvent, sta.PIEvent) {
 }
 
 // BenchmarkDelta measures single-PI perturbation re-timing on the tiled
-// netlist two ways: a full cone-pruned sparse re-analysis of the edited
-// vector, and AnalyzeDelta against the kept baseline. The stimulus covers
-// every PI, so sparse scheduling alone cannot prune — the delta path wins by
-// propagating only the arrivals the nudge actually moves.
+// netlist two ways: a full re-analysis of the edited vector, and
+// AnalyzeDelta against the kept baseline. The stimulus covers every PI, so
+// the full walk runs every gate — the delta path wins by propagating only
+// the arrivals the nudge actually moves.
 func BenchmarkDelta(b *testing.B) {
 	c := getTiledBench(b)
 	p, err := c.Compile()
@@ -40,7 +40,7 @@ func BenchmarkDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("full-sparse", func(b *testing.B) {
+	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			edited, _ := perturbOne(evs, i)
 			if _, err := p.Analyze(ctx, edited, sta.Proximity, opt); err != nil {
@@ -59,9 +59,9 @@ func BenchmarkDelta(b *testing.B) {
 }
 
 // deltaBenchResult is the BENCH_delta.json schema — the before/after record
-// for delta re-analysis. "Before" is a full sparse analysis of the edited
-// vector on the same engine build, so the comparison isolates the delta
-// propagation against the best full path the engine has.
+// for delta re-analysis. "Before" is a full analysis of the edited vector on
+// the same engine build, so the comparison isolates the delta's cutoff
+// against the same walk started from an empty result.
 type deltaBenchResult struct {
 	Timestamp    string `json:"timestamp"`
 	NetlistGates int    `json:"netlistGates"`
@@ -83,7 +83,7 @@ type deltaBenchResult struct {
 //
 //	BENCH_DELTA_OUT=$(pwd)/BENCH_delta.json go test -run TestWriteDeltaBench ./internal/sta/
 //
-// The acceptance bar it documents: ≥5x over full sparse re-analysis on
+// The acceptance bar it documents: ≥5x over full re-analysis on
 // single-PI perturbations of the tiled workload.
 func TestWriteDeltaBench(t *testing.T) {
 	out := os.Getenv("BENCH_DELTA_OUT")
@@ -140,7 +140,7 @@ func TestWriteDeltaBench(t *testing.T) {
 	res.Speedup = res.FullSparseSecPerQuery / res.DeltaSecPerQuery
 
 	if res.Speedup < 5 {
-		t.Errorf("delta speedup %.2fx over full sparse, acceptance bar is 5x", res.Speedup)
+		t.Errorf("delta speedup %.2fx over full re-analysis, acceptance bar is 5x", res.Speedup)
 	}
 
 	data, err := json.MarshalIndent(res, "", " ")

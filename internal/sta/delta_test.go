@@ -83,7 +83,8 @@ func TestDeltaMatchesFull(t *testing.T) {
 				{Net: events[21].Net, Dir: events[21].Dir},
 			},
 		}
-		got, err := p.AnalyzeDelta(context.Background(), baseline, delta, sta.Options{})
+		// Four workers: the delta's level buckets take the parallel path.
+		got, err := p.AnalyzeDelta(context.Background(), baseline, delta, sta.Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%v delta: %v", mode, err)
 		}
@@ -308,4 +309,58 @@ func TestCircuitAnalyzeDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareResults(t, c, want, got, "circuit delta")
+}
+
+// TestDeltaRejectsBaselineAcrossForwardNetEdit: driving an existing forward
+// net adds a gate without adding a net, so a baseline from before the edit
+// indexes exactly as many nets as the recompiled handle. It must still be
+// rejected — re-timing it would leave the newly driven net without its
+// arrival and the gates it feeds at their stale times.
+func TestDeltaRejectsBaselineAcrossForwardNetEdit(t *testing.T) {
+	c := sta.NewCircuit(sta.SynthLibrary(2))
+	a, b := c.Input("a"), c.Input("b")
+	fwd := c.ForwardNet("fwd")
+	n1, err := c.AddGate("g1", "nand2", "n1", a, fwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.MarkOutput(n1)
+	events := []sta.PIEvent{
+		{Net: a, Dir: waveform.Rising, Time: 0, TT: 200e-12},
+		{Net: b, Dir: waveform.Rising, Time: 50e-12, TT: 200e-12},
+	}
+	baseline, err := c.AnalyzeOpts(events, sta.Proximity, sta.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := c.NumNets()
+	if _, err := c.AddGate("g2", "inv", "fwd", b); err != nil {
+		t.Fatal(err)
+	}
+	if c.NumNets() != nets {
+		t.Fatalf("edit changed the net count %d -> %d; the test wants it unchanged", nets, c.NumNets())
+	}
+	nudge := sta.Delta{Set: []sta.PIEvent{{Net: a, Dir: waveform.Rising, Time: 5e-12, TT: 200e-12}}}
+	if _, err := c.AnalyzeDelta(baseline, nudge, sta.Options{}); err == nil || !strings.Contains(err.Error(), "different compile") {
+		t.Fatalf("pre-edit baseline: error %v, want different-compile rejection", err)
+	}
+
+	// A baseline from the recompiled handle re-times to the full answer,
+	// with the newly driven net carrying its arrival.
+	fresh, err := c.AnalyzeOpts(events, sta.Proximity, sta.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.AnalyzeDelta(fresh, nudge, sta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.AnalyzeOpts(applyDelta(events, nudge), sta.Proximity, sta.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, c, want, got, "delta after forward-net edit")
+	if _, ok := got.Arrival(fwd, waveform.Falling); !ok {
+		t.Fatal("newly driven net fwd has no falling arrival")
+	}
 }

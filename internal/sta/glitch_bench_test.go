@@ -72,6 +72,28 @@ func BenchmarkPulseFilter(b *testing.B) {
 	})
 }
 
+// TestWalkStopsAtAbsorbedPulses: an absorbed runt commits no arrival, so
+// the walk must not run the gates it feeds. On the runt-heavy vector every
+// gate run evaluates (GatesScheduled == GatesEvaluated) and the absorbed
+// pairs' fanout is skipped (fewer gates run than the netlist holds).
+func TestWalkStopsAtAbsorbedPulses(t *testing.T) {
+	c, evs := getGlitchBench(t)
+	res, err := c.AnalyzeOpts(evs, Proximity, Options{Workers: 1, PulseFiltering: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.PulsesFiltered == 0 {
+		t.Fatal("runt-heavy vector absorbed no pulse — the check is vacuous")
+	}
+	if st.GatesScheduled != st.GatesEvaluated {
+		t.Errorf("walk ran %d gates, %d evaluated", st.GatesScheduled, st.GatesEvaluated)
+	}
+	if st.GatesScheduled >= len(c.Gates) {
+		t.Errorf("walk ran %d of %d gates — absorbed pairs did not cut it", st.GatesScheduled, len(c.Gates))
+	}
+}
+
 // glitchBenchResult is the BENCH_glitch.json schema.
 type glitchBenchResult struct {
 	Timestamp    string `json:"timestamp"`

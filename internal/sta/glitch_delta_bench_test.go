@@ -5,7 +5,7 @@ package sta
 // delta path's asymptotics — the verdict re-judging must not force the walk
 // back to full-cone work. The recorded number is single-PI re-timing on the
 // runt-heavy tiled workload, filtered delta against a kept filtered baseline
-// vs a full filtered cone-pruned sparse re-analysis of the edited vector.
+// vs a full filtered re-analysis of the edited vector.
 
 import (
 	"context"
@@ -41,7 +41,7 @@ func BenchmarkGlitchDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("full-sparse", func(b *testing.B) {
+	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			edited, _ := glitchPerturbOne(evs, i)
 			if _, err := p.Analyze(ctx, edited, Proximity, opt); err != nil {
@@ -87,7 +87,7 @@ type glitchDeltaBenchResult struct {
 //
 //	BENCH_GLITCH_DELTA_OUT=$(pwd)/BENCH_glitch_delta.json go test -run TestWriteGlitchDeltaBench ./internal/sta/
 //
-// Acceptance bar: ≥5x over full filtered sparse re-analysis on single-PI
+// Acceptance bar: ≥5x over full filtered re-analysis on single-PI
 // perturbations of the runt-heavy tiled workload.
 func TestWriteGlitchDeltaBench(t *testing.T) {
 	out := os.Getenv("BENCH_GLITCH_DELTA_OUT")
@@ -148,7 +148,7 @@ func TestWriteGlitchDeltaBench(t *testing.T) {
 	res.Speedup = res.FullSparseSecPerQuery / res.DeltaSecPerQuery
 
 	if res.Speedup < 5 {
-		t.Errorf("filtered delta speedup %.2fx over full filtered sparse, acceptance bar is 5x", res.Speedup)
+		t.Errorf("filtered delta speedup %.2fx over full filtered re-analysis, acceptance bar is 5x", res.Speedup)
 	}
 
 	data, err := json.MarshalIndent(res, "", " ")

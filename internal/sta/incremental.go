@@ -6,11 +6,10 @@ package sta
 // no bookkeeping: it IS c.Gates[old.gates:] and c.PIs[len(old.pis):]. The
 // recompile keeps everything the edit cannot have touched: old levels are
 // only revisited where a new gate's output feeds back into existing logic
-// (a forward net finally driven), and old per-PI cones are reused verbatim
-// for every PI whose cone cannot reach a new gate. The result is required
-// to be bit-identical to a from-scratch compile — same level sets, same
-// within-level order, same cone tables — which the difftest incremental
-// oracle enforces against a discarded-handle rebuild.
+// (a forward net finally driven). The result is required to be
+// bit-identical to a from-scratch compile — same level sets, same
+// within-level order — which the difftest incremental oracle enforces
+// against a discarded-handle rebuild.
 
 import (
 	"fmt"
@@ -19,10 +18,10 @@ import (
 	"repro/internal/obs"
 )
 
-// recompile builds a new handle from a stale one, re-levelizing and
-// re-coning only the appended suffix and its downstream fanout. If the old
-// handle is not a clean prefix of the current circuit (impossible through
-// the public API, but cheap to verify), it falls back to a full compile.
+// recompile builds a new handle from a stale one, re-levelizing only the
+// appended suffix and its downstream fanout. If the old handle is not a
+// clean prefix of the current circuit (impossible through the public API,
+// but cheap to verify), it falls back to a full compile.
 func (c *Circuit) recompile(old *Compiled, tr *obs.Trace) (*Compiled, error) {
 	if old.gates > len(c.Gates) || old.numNets > len(c.nets) || len(old.pis) > len(c.PIs) {
 		return c.compileFull(tr)
@@ -42,30 +41,18 @@ func (c *Circuit) recompile(old *Compiled, tr *obs.Trace) (*Compiled, error) {
 	levelizeStart := time.Now()
 
 	numGates := len(c.Gates)
-	numNets := len(c.nets)
-	gateList := append([]*Gate(nil), c.Gates...)
-	pis := append([]*Net(nil), c.PIs...)
+	gateList := c.Gates
 	newGates := gateList[old.gates:]
 
 	// Consumer edges introduced by the edit, keyed by net ID. Merged with
-	// the old handle's CSR this gives the new graph's consumer relation;
-	// both parts list gate indices ascending (old CSR by construction, the
-	// map because new gates are visited in netlist order), and every old
-	// index precedes every new one — so traversals see the same neighbor
-	// order a from-scratch CSR would produce, which keeps rebuilt cones
-	// bit-identical to a full build.
+	// the old handle's CSR this gives the new graph's consumer relation,
+	// which the level relaxation below walks.
 	old.ensureConsumers()
 	newCons := make(map[int32][]int32)
 	for _, g := range newGates {
 		for _, in := range g.In {
 			newCons[in.id] = append(newCons[in.id], g.idx)
 		}
-	}
-	consumersOf := func(netID int32) (oldPart, newPart []int32) {
-		if int(netID) < old.numNets {
-			oldPart = old.consumers(netID)
-		}
-		return oldPart, newCons[netID]
 	}
 
 	// Re-levelize: old gates keep their level until an edit-induced path
@@ -92,9 +79,10 @@ func (c *Circuit) recompile(old *Compiled, tr *obs.Trace) (*Compiled, error) {
 	}
 	var work []int32
 	pushConsumers := func(netID int32) {
-		oldPart, newPart := consumersOf(netID)
-		work = append(work, oldPart...)
-		work = append(work, newPart...)
+		if int(netID) < old.numNets {
+			work = append(work, old.consumers(netID)...)
+		}
+		work = append(work, newCons[netID]...)
 	}
 	for _, g := range newGates {
 		gateLevel[g.idx] = desiredLevel(g)
@@ -127,119 +115,10 @@ func (c *Circuit) recompile(old *Compiled, tr *obs.Trace) (*Compiled, error) {
 			numLevels = int(lv) + 1
 		}
 	}
-	counts := make([]int32, numLevels)
-	for _, lv := range gateLevel {
-		counts[lv]++
-	}
-	p := &Compiled{
-		c:         c,
-		gates:     numGates,
-		numNets:   numNets,
-		gateList:  gateList,
-		pis:       pis,
-		gateLevel: gateLevel,
-	}
-	p.levels = make([][]*Gate, numLevels)
-	p.levelIdx = make([][]int32, numLevels)
-	for li := range p.levels {
-		p.levels[li] = make([]*Gate, 0, counts[li])
-		p.levelIdx[li] = make([]int32, 0, counts[li])
-		if int(counts[li]) > p.maxWidth {
-			p.maxWidth = int(counts[li])
-		}
-	}
+	levels := make([][]*Gate, numLevels)
 	for gi, lv := range gateLevel {
-		p.levels[lv] = append(p.levels[lv], gateList[gi])
-		p.levelIdx[lv] = append(p.levelIdx[lv], int32(gi))
+		levels[lv] = append(levels[lv], gateList[gi])
 	}
-	p.levelizeWall = time.Since(levelizeStart)
 	levelizeSpan.End()
-
-	p.scratch.New = func() any { return newEvalScratch(p) }
-
-	// Cone reuse: only worthwhile when the old handle actually built cones
-	// (a dense-only workload never does — stay lazy then). A PI's cone can
-	// only change if it reaches a new gate, i.e. the PI lies in the
-	// backward cone of some new gate's inputs; everything else is copied
-	// verbatim, and the affected few (plus all new PIs) get a fresh BFS
-	// over the merged consumer relation.
-	if old.conesReady.Load() {
-		piOrd := make([]int32, numNets)
-		for i := range piOrd {
-			piOrd[i] = -1
-		}
-		for ord, pi := range pis {
-			piOrd[pi.id] = int32(ord)
-		}
-
-		affected := make([]bool, len(pis))
-		visitedNet := make([]bool, numNets)
-		var stack []*Net
-		for _, g := range newGates {
-			for _, in := range g.In {
-				if !visitedNet[in.id] {
-					visitedNet[in.id] = true
-					stack = append(stack, in)
-				}
-			}
-		}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if ord := piOrd[n.id]; ord >= 0 {
-				affected[ord] = true
-			}
-			if n.Driver != nil {
-				for _, in := range n.Driver.In {
-					if !visitedNet[in.id] {
-						visitedNet[in.id] = true
-						stack = append(stack, in)
-					}
-				}
-			}
-		}
-
-		seen := make([]int32, numGates)
-		for i := range seen {
-			seen[i] = -1
-		}
-		coneOff := make([]int32, len(pis)+1)
-		var cones []int32
-		var queue []int32
-		visit := func(ord int, gi int32) {
-			if seen[gi] != int32(ord) {
-				seen[gi] = int32(ord)
-				queue = append(queue, gi)
-			}
-		}
-		for ord, pi := range pis {
-			if ord < len(old.pis) && !affected[ord] {
-				cones = append(cones, old.cones[old.coneOff[ord]:old.coneOff[ord+1]]...)
-				coneOff[ord+1] = int32(len(cones))
-				continue
-			}
-			queue = queue[:0]
-			oldPart, newPart := consumersOf(pi.id)
-			for _, gi := range oldPart {
-				visit(ord, gi)
-			}
-			for _, gi := range newPart {
-				visit(ord, gi)
-			}
-			for head := 0; head < len(queue); head++ {
-				out := gateList[queue[head]].Out
-				oldPart, newPart := consumersOf(out.id)
-				for _, gi := range oldPart {
-					visit(ord, gi)
-				}
-				for _, gi := range newPart {
-					visit(ord, gi)
-				}
-			}
-			cones = append(cones, queue...)
-			coneOff[ord+1] = int32(len(cones))
-		}
-		p.adoptCones(piOrd, coneOff, cones)
-	}
-	return p, nil
+	return newCompiled(c, levels, time.Since(levelizeStart)), nil
 }

@@ -1,7 +1,7 @@
 package sta
 
 // Monte-Carlo statistical timing analysis under process variation. One
-// compile and one cone schedule are reused across all samples; each sample
+// compile and its consumer table are reused across all samples; each sample
 // re-times the same stimulus with per-gate delay multipliers drawn from the
 // deterministic counter PRNG in internal/mc, so sample k of a run is a pure
 // function of (seed, k) — independently reproducible without re-running the
@@ -43,11 +43,11 @@ type MCOptions struct {
 	Corners []string
 	// Bins sets the per-output histogram resolution (<= 0 picks 16).
 	Bins int
-	// Options carries the execution knobs (Workers bounds the sample-level
-	// parallelism; Dense disables cone pruning inside each sample;
-	// PulseFiltering makes every sample judge its own runt-pulse
-	// separations, feeding MCResult.GlitchCriticality). Perturb must be
-	// nil — AnalyzeMC owns the perturbation hook.
+	// Options carries the execution knobs: Workers bounds the sample-level
+	// parallelism (each sample walks serially), and PulseFiltering makes
+	// every sample judge its own runt-pulse separations, feeding
+	// MCResult.GlitchCriticality. Perturb must be nil — AnalyzeMC owns the
+	// perturbation hook.
 	Options
 }
 
@@ -118,40 +118,28 @@ type MCResult struct {
 }
 
 // mcOutputs returns the primary outputs that can transition under this
-// stimulus, in declaration order. Events propagate only through the
-// stimulated PIs' fanout cones, and perturbation scales delays without ever
-// adding gates to the schedule — so a PO outside every stimulated cone is a
-// guaranteed-NaN column in every sample, and aggregating it would make the
-// per-sample cost scale with the netlist's PO count instead of the cone's.
-// Dense mode (which deliberately sheds the cone tables) and stimuli naming
-// post-compile PIs fall back to every compile-known PO.
-func (p *Compiled) mcOutputs(events []PIEvent, dense bool) []*Net {
-	all := func() []*Net {
-		pos := make([]*Net, 0, len(p.c.POs))
-		for _, po := range p.c.POs {
-			if int(po.id) < p.numNets {
-				pos = append(pos, po)
-			}
-		}
-		return pos
-	}
-	if dense {
-		return all()
-	}
-	reach := make(map[*Net]bool)
+// stimulus, in declaration order: one search over the consumer CSR from
+// the stimulated nets. Events propagate only through the stimulated PIs'
+// fanout, and perturbation scales delays without ever reaching further —
+// so a PO outside it is a guaranteed-NaN column in every sample, and
+// aggregating it would make the per-sample cost scale with the netlist's PO
+// count instead of the stimulated fanout's. Events the samples will reject
+// (unknown or post-compile nets) are skipped here.
+func (p *Compiled) mcOutputs(events []PIEvent) []*Net {
+	from := make([]*Net, 0, len(events))
+	reached := make([]bool, p.numNets)
 	for _, ev := range events {
-		gates, ok := p.Cone(ev.Net)
-		if !ok {
-			return all()
-		}
-		reach[ev.Net] = true
-		for _, gi := range gates {
-			reach[p.gateList[gi].Out] = true
+		if ev.Net != nil && int(ev.Net.id) < p.numNets {
+			from = append(from, ev.Net)
+			reached[ev.Net.id] = true
 		}
 	}
-	pos := make([]*Net, 0, 16)
+	for _, gi := range p.reach(from) {
+		reached[p.gateList[gi].Out.id] = true
+	}
+	var pos []*Net
 	for _, po := range p.c.POs {
-		if int(po.id) < p.numNets && reach[po] {
+		if int(po.id) < p.numNets && reached[po.id] {
 			pos = append(pos, po)
 		}
 	}
@@ -186,7 +174,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	// under this stimulus. Restricting them up front keeps the per-sample
 	// slab and the PO scan proportional to the stimulated cone, not the
 	// netlist.
-	pos := p.mcOutputs(events, opt.Dense)
+	pos := p.mcOutputs(events)
 
 	mcStart := time.Now()
 	// Per-sample arrival slab, indexed [sample][output][direction]. NaN
@@ -221,7 +209,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	}
 
 	runSample := func(si int) error {
-		pv := Options{Workers: 1, Dense: opt.Dense, PulseFiltering: opt.PulseFiltering}
+		pv := Options{Workers: 1, PulseFiltering: opt.PulseFiltering}
 		if opt.Sigma != 0 {
 			// Capture si by value: the closure is the whole perturbation
 			// state, so any sample is reproducible in isolation.
@@ -380,7 +368,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	// Corner presets: degenerate one-sample runs with a constant global
 	// multiplier (the typ corner's 1.0 takes the unperturbed hot path).
 	for i, name := range opt.Corners {
-		pv := Options{Workers: opt.Workers, Dense: opt.Dense, PulseFiltering: opt.PulseFiltering}
+		pv := Options{Workers: opt.Workers, PulseFiltering: opt.PulseFiltering}
 		if cornerMults[i] != 1 {
 			m := cornerMults[i]
 			pv.Perturb = func(int32) float64 { return m }
@@ -393,7 +381,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	}
 
 	out.Stats.Workers = workers
-	out.Stats.Levels = len(p.levelIdx)
+	out.Stats.Levels = len(p.levels)
 	out.Stats.GatesEvaluated = int(gatesEvaluated.Load())
 	out.Stats.Evaluations = int(evaluations.Load())
 	out.Stats.ProximityEvals = int(proximityEvals.Load())
@@ -411,20 +399,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 // Compile time is charged to the result's PhaseCompile bucket, mirroring
 // AnalyzeOpts.
 func (c *Circuit) AnalyzeMC(events []PIEvent, mode Mode, opt MCOptions) (*MCResult, error) {
-	compileStart := time.Now()
-	p, fresh, err := c.compileTimed(opt.Trace)
-	if err != nil {
-		return nil, err
-	}
-	compileWall := time.Since(compileStart)
-	res, err := p.AnalyzeMC(context.Background(), events, mode, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Phases.Add(obs.PhaseCompile, compileWall)
-	if fresh {
-		res.Stats.Phases.Add(obs.PhaseLevelize, p.levelizeWall)
-	}
-	res.Stats.Wall += compileWall
-	return res, nil
+	return withCompile(c, opt.Trace, func(p *Compiled) (*MCResult, error) {
+		return p.AnalyzeMC(context.Background(), events, mode, opt)
+	}, func(r *MCResult) *Stats { return &r.Stats })
 }

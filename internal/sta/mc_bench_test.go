@@ -1,11 +1,12 @@
 package sta
 
 // Monte-Carlo benchmark: the subsystem's reason to exist is amortization —
-// one compile + cone schedule reused across thousands of samples. The
-// recorded number is the ratio between the naive statistical loop (fresh
-// compile + analyze per sample, what a caller without AnalyzeMC would
-// write) and AnalyzeMC's per-sample cost at 1024 samples, both serial so
-// the ratio isolates amortization from parallelism. This file lives in
+// one compile reused across thousands of samples, each costing no more than
+// a plain analyze of the same vector. The guarded number is that per-sample
+// overhead: AnalyzeMC's serial per-sample cost at 1024 samples over one
+// serial Analyze on the reused compile. The amortization against the naive
+// statistical loop (fresh compile + analyze per sample, what a caller
+// without AnalyzeMC would write) is recorded alongside. This file lives in
 // package sta (not sta_test) because the naive side needs compileFull to
 // defeat the circuit-level compile memoization.
 
@@ -47,8 +48,8 @@ func getMCBench(tb testing.TB) (*Circuit, []PIEvent) {
 	return mcBenchC, SynthEventsFor(TilePIs(mcBenchC, 0), 1)
 }
 
-// freshCompileAnalyze is the naive statistical sample: levelize + cone-build
-// from scratch, then analyze once — the cost AnalyzeMC amortizes away.
+// freshCompileAnalyze is the naive statistical sample: levelize + consumer
+// table from scratch, then analyze once — the cost AnalyzeMC amortizes away.
 func freshCompileAnalyze(ctx context.Context, c *Circuit, evs []PIEvent) error {
 	p, err := c.compileFull(nil)
 	if err != nil {
@@ -99,12 +100,13 @@ type mcBenchResult struct {
 	MCSecPerSample float64 `json:"mcSecPerSample"`
 	// PerSampleOverhead = MCSecPerSample / PlainAnalyzeSecPerVector: what a
 	// perturbed, aggregated, criticality-traced sample costs relative to a
-	// plain analyze of the same vector.
+	// plain analyze of the same vector (the acceptance bar is 1.5x;
+	// TestBenchGuardMC guards it).
 	PerSampleOverhead float64 `json:"perSampleOverhead"`
 	// FreshCompileSecPerSample is the naive loop's per-sample cost.
 	FreshCompileSecPerSample float64 `json:"freshCompileSecPerSample"`
 	// Amortization = FreshCompileSecPerSample / MCSecPerSample (serial both
-	// sides; the acceptance bar is 20x).
+	// sides), kept for the record.
 	Amortization float64 `json:"amortization"`
 	// ParallelSamplesPerSec is the throughput with the default worker pool.
 	ParallelSamplesPerSec float64 `json:"parallelSamplesPerSec"`
@@ -115,8 +117,8 @@ type mcBenchResult struct {
 //
 //	BENCH_MC_OUT=$(pwd)/BENCH_mc.json go test -run TestWriteMCBench ./internal/sta/
 //
-// Acceptance bar: AnalyzeMC at 1024 samples amortizes the compile+schedule
-// cost at least 20x over running a fresh-compile analyze per sample.
+// Acceptance bar: an AnalyzeMC sample at 1024 samples costs at most 1.5x a
+// plain analyze of the same vector on the same compile.
 func TestWriteMCBench(t *testing.T) {
 	out := os.Getenv("BENCH_MC_OUT")
 	if out == "" {
@@ -177,8 +179,8 @@ func TestWriteMCBench(t *testing.T) {
 	res.PerSampleOverhead = res.MCSecPerSample / res.PlainAnalyzeSecPerVector
 	res.Amortization = res.FreshCompileSecPerSample / res.MCSecPerSample
 
-	if res.Amortization < 20 {
-		t.Errorf("MC amortization %.1fx over fresh-compile-per-sample, acceptance bar is 20x", res.Amortization)
+	if res.PerSampleOverhead > 1.5 {
+		t.Errorf("MC per-sample overhead %.2fx over a plain analyze, acceptance bar is 1.5x", res.PerSampleOverhead)
 	}
 
 	data, err := json.MarshalIndent(res, "", " ")
@@ -193,11 +195,11 @@ func TestWriteMCBench(t *testing.T) {
 		res.PerSampleOverhead, res.ParallelSamplesPerSec, out)
 }
 
-// TestBenchGuardMC compares today's MC amortization ratio against the
+// TestBenchGuardMC compares today's MC per-sample overhead — one serial
+// sample over one serial plain analyze of the same vector — against the
 // recorded BENCH_mc.json, gated behind BENCH_GUARD=1 like the sparse guard.
-// Both sides of the ratio are measured seconds apart in one process, so
-// machine-wide slowdowns cancel; margin via BENCH_GUARD_MARGIN (default
-// 1.25x).
+// Both sides are measured seconds apart in one process, so machine-wide
+// slowdowns cancel; margin via BENCH_GUARD_MARGIN (default 1.25x).
 func TestBenchGuardMC(t *testing.T) {
 	if os.Getenv("BENCH_GUARD") == "" {
 		t.Skip("set BENCH_GUARD=1 to compare against BENCH_mc.json")
@@ -218,7 +220,7 @@ func TestBenchGuardMC(t *testing.T) {
 	if err := json.Unmarshal(data, &base); err != nil {
 		t.Fatal(err)
 	}
-	if base.Amortization <= 0 {
+	if base.PerSampleOverhead <= 0 {
 		t.Fatalf("baseline incomplete: %+v", base)
 	}
 
@@ -228,6 +230,14 @@ func TestBenchGuardMC(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	plain := testing.Benchmark(func(b *testing.B) {
+		opt := Options{Workers: 1}
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Analyze(ctx, evs, Proximity, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	serialMC := testing.Benchmark(func(b *testing.B) {
 		opt := MCOptions{Samples: mcBenchSamples, Seed: 5, Sigma: mcBenchSigma}
 		opt.Workers = 1
@@ -237,18 +247,11 @@ func TestBenchGuardMC(t *testing.T) {
 			}
 		}
 	})
-	naive := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := freshCompileAnalyze(ctx, c, evs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	perSample := serialMC.T.Seconds() / float64(serialMC.N) / mcBenchSamples
-	amort := (naive.T.Seconds() / float64(naive.N)) / perSample
-	t.Logf("mc amortization %.1fx (baseline %.1fx)", amort, base.Amortization)
-	if amort*margin < base.Amortization {
-		t.Errorf("MC amortization fell to %.1fx from the recorded %.1fx (margin %.2f) — per-sample overhead crept in",
-			amort, base.Amortization, margin)
+	overhead := perSample / (plain.T.Seconds() / float64(plain.N))
+	t.Logf("mc per-sample overhead %.2fx (baseline %.2fx)", overhead, base.PerSampleOverhead)
+	if overhead > base.PerSampleOverhead*margin {
+		t.Errorf("MC per-sample overhead rose to %.2fx from the recorded %.2fx (margin %.2f) — per-sample cost crept in",
+			overhead, base.PerSampleOverhead, margin)
 	}
 }

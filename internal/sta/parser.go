@@ -2,6 +2,7 @@ package sta
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,10 +22,24 @@ import (
 //	output n2
 //
 // Nets may be referenced before they are driven (forward references are
-// legal); every gate type must exist in the library.
+// legal); every gate type must exist in the library. A line may be up to
+// 64 MiB long, the largest netlist body stad accepts.
 func ParseNetlist(r io.Reader, lib *Library) (*Circuit, error) {
+	return parseNetlist(r, lib, maxNetlistLine)
+}
+
+// maxNetlistLine bounds one line of ParseNetlist input. WriteNetlist puts
+// every primary input on one line, so wide netlists need far more than
+// bufio.Scanner's 64 KiB default; at stad's body limit, a netlist the
+// service takes in is never refused for its line length alone.
+const maxNetlistLine = 64 << 20
+
+// parseNetlist is ParseNetlist with the line limit as a parameter. The
+// scanner buffer grows on demand up to maxLine.
+func parseNetlist(r io.Reader, lib *Library, maxLine int) (*Circuit, error) {
 	c := NewCircuit(lib)
 	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -68,7 +83,10 @@ func ParseNetlist(r io.Reader, lib *Library) (*Circuit, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("sta: line %d: longer than %d bytes", lineNo+1, maxLine)
+		}
+		return nil, fmt.Errorf("sta: line %d: %w", lineNo+1, err)
 	}
 	// Sanity: every non-primary net with loads must have a driver.
 	for name, n := range c.nets {

@@ -109,3 +109,36 @@ func TestParseEventsErrors(t *testing.T) {
 		t.Errorf("parsed event %+v", evs[0])
 	}
 }
+
+// TestParseNetlistWideRoundTrip: WriteNetlist puts every primary input on
+// one line — 77.5 KB for 9,600 PIs, past bufio.Scanner's 64 KiB default —
+// and ParseNetlist must read it back to the same structure.
+func TestParseNetlistWideRoundTrip(t *testing.T) {
+	c, err := sta.SynthTiled(1200, 8, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := sta.WriteNetlist(&text, c); err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(text.String(), "\n")
+	if len(first) <= 64<<10 {
+		t.Fatalf("input line is %d bytes; the test wants one past 64 KiB", len(first))
+	}
+	back, err := sta.ParseNetlist(strings.NewReader(text.String()), sta.SynthLibrary(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.PIs) != 9600 || len(back.Gates) != len(c.Gates) || len(back.POs) != len(c.POs) {
+		t.Fatalf("round trip: %d PIs, %d gates, %d POs; want 9600, %d, %d",
+			len(back.PIs), len(back.Gates), len(back.POs), len(c.Gates), len(c.POs))
+	}
+	var again strings.Builder
+	if err := sta.WriteNetlist(&again, back); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != text.String() {
+		t.Fatal("re-serialized netlist differs from the original")
+	}
+}

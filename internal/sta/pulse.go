@@ -126,8 +126,10 @@ func applyPulseFilter(g *Gate, o *gateEval, res *Result) {
 			res.pulseRaw = map[int32]dirArrivals{}
 		}
 		res.pulseRaw[g.Out.id] = dirArrivals{a: o.a, has: o.has}
-		o.has[waveform.Rising] = false
-		o.has[waveform.Falling] = false
+		// Clear the values with the flags: the store keeps
+		// has[d] == false => a[d] == Arrival{}, so an absorbed pair compares
+		// bit-equal to "no arrivals" and the walk's cutoff stops here.
+		*o = gateEval{}
 		res.Stats.PulsesFiltered++
 	case v.Factor > 1:
 		o.a[leadDir].TT *= v.Factor

@@ -692,57 +692,6 @@ func TestPulseFilterExplain(t *testing.T) {
 	}
 }
 
-// TestPulseFilterSparseDenseIdentical runs a runt-pulse workload through
-// both schedulers and both worker counts with filtering on: verdicts and
-// arrivals must be bit-identical (the filter sits in the serial commit walk,
-// which both paths share).
-func TestPulseFilterSparseDenseIdentical(t *testing.T) {
-	c, err := sta.SynthRandom(40, 400, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := runtPulseStimulus(c, 7)
-	var ref *sta.Result
-	for _, cfg := range []struct {
-		name string
-		opt  sta.Options
-	}{
-		{"sparse-serial", sta.Options{Workers: 1, PulseFiltering: true}},
-		{"sparse-parallel", sta.Options{Workers: 4, PulseFiltering: true}},
-		{"dense-serial", sta.Options{Workers: 1, Dense: true, PulseFiltering: true}},
-		{"dense-parallel", sta.Options{Workers: 4, Dense: true, PulseFiltering: true}},
-	} {
-		res, err := c.AnalyzeOpts(evs, sta.Proximity, cfg.opt)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		if ref == nil {
-			ref = res
-			if res.Stats.PulsesFiltered+res.Stats.PulsesDegraded == 0 {
-				t.Fatal("stimulus produced no judged pulses — the identity check is vacuous")
-			}
-			continue
-		}
-		if res.Stats.PulsesFiltered != ref.Stats.PulsesFiltered ||
-			res.Stats.PulsesDegraded != ref.Stats.PulsesDegraded {
-			t.Errorf("%s: %d/%d pulses, want %d/%d", cfg.name,
-				res.Stats.PulsesFiltered, res.Stats.PulsesDegraded,
-				ref.Stats.PulsesFiltered, ref.Stats.PulsesDegraded)
-		}
-		for _, name := range c.NetsByName() {
-			n := c.Net(name)
-			for _, dir := range []waveform.Direction{waveform.Rising, waveform.Falling} {
-				want, okW := ref.Arrival(n, dir)
-				got, okG := res.Arrival(n, dir)
-				if okW != okG || got != want {
-					t.Fatalf("%s: net %s %v: %+v (present=%v), want %+v (present=%v)",
-						cfg.name, name, dir, got, okG, want, okW)
-				}
-			}
-		}
-	}
-}
-
 // runtPulseStimulus builds a runt-heavy stimulus: one event per PI, with
 // adjacent PIs alternating direction inside a tight arrival window, so
 // reconvergent gates see opposite-edge pairs at characterized separations.

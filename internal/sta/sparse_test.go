@@ -11,113 +11,11 @@ import (
 	"repro/internal/waveform"
 )
 
-// requireIdenticalResults asserts two analyses agree arrival-for-arrival on
-// every net of the circuit — presence, time, transition time, dominant pin
-// and proximity fan-in, compared bit-exactly.
-func requireIdenticalResults(t *testing.T, c *sta.Circuit, want, got *sta.Result, label string) {
-	t.Helper()
-	compared := 0
-	for _, name := range c.NetsByName() {
-		n := c.Net(name)
-		for _, dir := range []waveform.Direction{waveform.Rising, waveform.Falling} {
-			wa, wok := want.Arrival(n, dir)
-			ga, gok := got.Arrival(n, dir)
-			if wok != gok {
-				t.Fatalf("%s: net %s %v: present=%v dense, %v sparse", label, name, dir, wok, gok)
-			}
-			if !wok {
-				continue
-			}
-			compared++
-			if wa.Time != ga.Time || wa.TT != ga.TT || wa.FromPin != ga.FromPin || wa.UsedInputs != ga.UsedInputs {
-				t.Fatalf("%s: net %s %v: dense (%v, %v, pin %d, used %d) vs sparse (%v, %v, pin %d, used %d)",
-					label, name, dir, wa.Time, wa.TT, wa.FromPin, wa.UsedInputs,
-					ga.Time, ga.TT, ga.FromPin, ga.UsedInputs)
-			}
-		}
-	}
-	if compared == 0 {
-		t.Fatalf("%s: no arrivals compared — vacuous", label)
-	}
-}
-
-// TestSparseMatchesDense is the engine-local half of the sparse-vs-dense
-// contract (internal/difftest carries the 120-config oracle): on a random
-// DAG with a partial stimulus, the cone-pruned schedule must produce
-// bit-identical arrivals while actually scheduling fewer gates.
-func TestSparseMatchesDense(t *testing.T) {
-	c, err := sta.SynthRandom(96, 1500, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		pis  []*sta.Net
-	}{
-		{"partial", c.PIs[:3]},
-		{"full", c.PIs},
-	} {
-		evs := sta.SynthEventsFor(tc.pis, 11)
-		for _, mode := range []sta.Mode{sta.Proximity, sta.Conventional} {
-			dense, err := c.AnalyzeOpts(evs, mode, sta.Options{Workers: 1, Dense: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				sparse, err := c.AnalyzeOpts(evs, mode, sta.Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := tc.name + "/" + mode.String()
-				requireIdenticalResults(t, c, dense, sparse, label)
-				// The eval-side stats must agree exactly; only the schedule
-				// sizes may differ, and on the partial stimulus they must.
-				if sparse.Stats.GatesEvaluated != dense.Stats.GatesEvaluated ||
-					sparse.Stats.Evaluations != dense.Stats.Evaluations ||
-					sparse.Stats.ProximityEvals != dense.Stats.ProximityEvals {
-					t.Fatalf("%s: eval stats diverge: sparse %+v dense %+v", label, sparse.Stats, dense.Stats)
-				}
-				if sparse.Stats.GatesScheduled > dense.Stats.GatesScheduled {
-					t.Fatalf("%s: sparse scheduled %d > dense %d", label, sparse.Stats.GatesScheduled, dense.Stats.GatesScheduled)
-				}
-				if tc.name == "partial" && sparse.Stats.GatesScheduled >= dense.Stats.GatesScheduled {
-					t.Fatalf("%s: sparse scheduled %d of %d — pruning never kicked in, test is vacuous",
-						label, sparse.Stats.GatesScheduled, dense.Stats.GatesScheduled)
-				}
-			}
-		}
-	}
-}
-
-// TestSparseBatchMatchesDense runs the same partial-stimulus batch through
-// both schedules over one shared compilation.
-func TestSparseBatchMatchesDense(t *testing.T) {
-	c, err := sta.SynthTiled(6, 6, 40, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch [][]sta.PIEvent
-	for tile := 0; tile < 6; tile++ {
-		batch = append(batch, sta.SynthEventsFor(sta.TilePIs(c, tile), int64(tile)))
-	}
-	dense, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{Workers: 1, Dense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		requireIdenticalResults(t, c, dense[i], sparse[i], "vector")
-	}
-}
-
 // TestSparseCriticalPathAcrossPrunedCones stimulates one tile of a
-// block-partitioned circuit and traces the critical path through the sparse
+// block-partitioned circuit and traces the critical path through the
 // result: the indexed arrival store must support path tracing even though
-// every other tile was pruned from the schedule, and the pruned tiles'
-// outputs must carry no arrivals at all.
+// the walk never reached any other tile, and those tiles' outputs must
+// carry no arrivals at all.
 func TestSparseCriticalPathAcrossPrunedCones(t *testing.T) {
 	c, err := sta.SynthTiled(5, 8, 60, 9)
 	if err != nil {
@@ -165,8 +63,8 @@ func TestSparseCriticalPathAcrossPrunedCones(t *testing.T) {
 
 // TestSparseZeroConeStimulus: an event on a primary input that drives no
 // gate has an empty fanout cone. The analysis must succeed with zero gates
-// scheduled — the PI's own arrival present, everything else silent — not
-// error out or fall back to a full walk.
+// run — the PI's own arrival present, everything else silent — not error
+// out.
 func TestSparseZeroConeStimulus(t *testing.T) {
 	lib := sta.NewLibrary()
 	lib.Add("inv", core.NewCalculator(macromodel.SynthModel("inv", 1)))

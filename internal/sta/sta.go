@@ -49,8 +49,8 @@ type Net struct {
 	Driver *Gate // nil for primary inputs
 	// id is the net's dense integer identity within its circuit, assigned
 	// at creation in declaration order. It indexes the Result arrival store
-	// and the compiled cone tables, so arrival lookup is a slice index, not
-	// a map probe.
+	// and the compiled consumer table, so arrival lookup is a slice index,
+	// not a map probe.
 	id int32
 }
 
@@ -82,7 +82,7 @@ type Circuit struct {
 	poSet map[*Net]bool
 
 	// compiled memoizes Compile so the Analyze entry points don't pay
-	// levelization (and cone construction) per call on an unchanged
+	// levelization (and the consumer table build) per call on an unchanged
 	// netlist. Staleness is structural: all mutations (Input, AddGate, net
 	// creation) append, so a handle is current exactly when its snapshot
 	// counts match the circuit's — no dirty flag to keep in sync. A stale
@@ -289,12 +289,6 @@ type Options struct {
 	// reference path. Results are bit-identical at every setting — the
 	// schedule changes, the arithmetic does not.
 	Workers int
-	// Dense disables cone-pruned sparse scheduling and walks every gate at
-	// every level, the pre-sparse reference schedule. The default (false)
-	// schedules only the gates inside the fanout cones of the stimulated
-	// primary inputs; both schedules are bit-identical in their results, so
-	// Dense exists as an escape hatch and as the oracle's reference.
-	Dense bool
 	// Trace, when non-nil, records Chrome trace_event spans for the
 	// analysis: compile (if it happens), schedule construction, each
 	// evaluation level, and the per-worker shares within a level. nil (the
@@ -345,8 +339,8 @@ type LevelStat struct {
 // Stats counts what an analysis actually did, so benchmarks and reports
 // have something to read beyond arrival times.
 type Stats struct {
-	Workers        int
-	Levels         int
+	Workers int
+	Levels  int
 	// GatesEvaluated counts gates whose evaluation produced at least one
 	// output arrival — including gates whose opposite-edge pair pulse
 	// filtering later absorbed (the evaluation work happened either way).
@@ -354,9 +348,11 @@ type Stats struct {
 	Evaluations    int // per-direction delay calculations
 	ProximityEvals int // evaluations combining >1 switching input
 	SingleArcEvals int // evaluations timed from a single arc
-	// GatesScheduled counts gates the schedule visited: every gate of every
-	// level in dense mode, only the active-cone gates in sparse mode. The
-	// difference against the gate count is what cone pruning saved.
+	// GatesScheduled counts the gates the walk ran: the gates with at
+	// least one changed input. Every such gate of a full analysis has an
+	// input arrival and so evaluates, making it equal to GatesEvaluated
+	// there; for a delta it equals GatesReevaluated. The difference against
+	// the gate count is what the walk skipped.
 	GatesScheduled int
 	// GatesReevaluated and GatesReused are delta-analysis accounting
 	// (AnalyzeDelta): how many gates the dirty-propagation walk actually
@@ -378,13 +374,13 @@ type Stats struct {
 	// the counter makes the multi-level chaining blind spot observable.
 	PulsesUnjudged int
 	// PerLevel has one entry per topological level; Gates is the number of
-	// gates scheduled at that level (in sparse mode, levels outside the
-	// active cones record zero).
+	// gates the walk ran at that level (levels it never reached record
+	// zero).
 	PerLevel []LevelStat
 	// Phases breaks the analysis wall time into the engine's accounting
-	// buckets (compile, cone build, schedule, seed, eval, commit). The
-	// buckets are disjoint intervals, so Phases.Sum() <= Wall. Always on:
-	// the cost is a handful of clock reads per analysis.
+	// buckets (compile, consumer-table build, schedule, seed, eval,
+	// commit). The buckets are disjoint intervals, so Phases.Sum() <= Wall.
+	// Always on: the cost is a handful of clock reads per analysis.
 	Phases obs.PhaseTimes
 	// Wall is the total wall time of this analysis, including any compile
 	// the entry point performed on its behalf.
@@ -401,15 +397,21 @@ type dirArrivals struct {
 
 // Result holds per-net arrivals after analysis. The store is indexed by net
 // ID through a flat int32 table into a compact arrival slab, so Arrival is
-// two bounds checks and two array reads, and a cone-pruned analysis that
-// touches 50 of 14000 nets allocates (and the GC later scans) 50 arrival
-// slots, not 14000 — only the pointer-free index scales with the netlist.
-// A Result is only meaningful for nets of the circuit that produced it.
+// two bounds checks and two array reads, and an analysis that reaches 50
+// of 14000 nets allocates (and the GC later scans) 50 arrival slots, not
+// 14000 — only the pointer-free index scales with the netlist. A Result is
+// only meaningful for nets of the circuit that produced it.
 type Result struct {
 	Mode  Mode
 	Stats Stats
 	idx   []int32       // net ID -> 1-based slot in arr (0 = no arrivals)
 	arr   []dirArrivals // compact: one entry per net that carries an arrival
+
+	// handle is the id of the compiled handle that produced this result.
+	// AnalyzeDelta accepts a baseline only from the same handle: a
+	// structural edit can keep the net count (AddGate driving an existing
+	// forward net), so the index size alone cannot tell compiles apart.
+	handle uint64
 
 	// pulseFiltering records whether this result was produced with
 	// Options.PulseFiltering on, so post-passes that re-run gate
@@ -490,24 +492,38 @@ func (c *Circuit) Analyze(events []PIEvent, mode Mode) (*Result, error) {
 
 // AnalyzeOpts is Analyze with explicit execution options.
 func (c *Circuit) AnalyzeOpts(events []PIEvent, mode Mode, opt Options) (*Result, error) {
+	return withCompile(c, opt.Trace, func(p *Compiled) (*Result, error) {
+		return p.Analyze(context.Background(), events, mode, opt)
+	}, (*Result).stats)
+}
+
+// stats returns the result's Stats for compile attribution.
+func (r *Result) stats() *Stats { return &r.Stats }
+
+// withCompile is the body of every circuit-level entry point: compile (or
+// reuse the memoized handle), run the call against the handle, and charge
+// the compile this call performed — near zero on a memoized handle — into
+// the phase breakdown and total wall of the Stats that stats picks from the
+// output. One compile happened, so exactly one Stats carries it.
+func withCompile[T any](c *Circuit, tr *obs.Trace, call func(*Compiled) (T, error), stats func(T) *Stats) (T, error) {
 	compileStart := time.Now()
-	p, fresh, err := c.compileTimed(opt.Trace)
+	p, fresh, err := c.compileTimed(tr)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	compileWall := time.Since(compileStart)
-	res, err := p.Analyze(context.Background(), events, mode, opt)
+	out, err := call(p)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	// Account the compile this call performed (near-zero on a memoized
-	// handle) into the result's phase breakdown and total wall.
-	res.Stats.Phases.Add(obs.PhaseCompile, compileWall)
+	st := stats(out)
+	st.Phases.Add(obs.PhaseCompile, compileWall)
 	if fresh {
-		res.Stats.Phases.Add(obs.PhaseLevelize, p.levelizeWall)
+		st.Phases.Add(obs.PhaseLevelize, p.levelizeWall)
 	}
-	res.Stats.Wall += compileWall
-	return res, nil
+	st.Wall += compileWall
+	return out, nil
 }
 
 // AnalyzeBatch analyzes N independent primary-input vectors against ONE
@@ -518,25 +534,11 @@ func (c *Circuit) AnalyzeOpts(events []PIEvent, mode Mode, opt Options) (*Result
 // on the same events. The first failing vector (lowest index) aborts the
 // batch.
 func (c *Circuit) AnalyzeBatch(batch [][]PIEvent, mode Mode, opt Options) ([]*Result, error) {
-	compileStart := time.Now()
-	p, fresh, err := c.compileTimed(opt.Trace)
-	if err != nil {
-		return nil, err
-	}
-	compileWall := time.Since(compileStart)
-	results, err := p.AnalyzeBatch(context.Background(), batch, mode, opt)
-	if err != nil {
-		return nil, err
-	}
-	// Attribute the compile this call performed to the batch's first result,
-	// mirroring AnalyzeOpts — one compile happened, so exactly one result
-	// carries it, and the service's phase histograms see it.
-	results[0].Stats.Phases.Add(obs.PhaseCompile, compileWall)
-	if fresh {
-		results[0].Stats.Phases.Add(obs.PhaseLevelize, p.levelizeWall)
-	}
-	results[0].Stats.Wall += compileWall
-	return results, nil
+	// The compile lands on the batch's first result, so the service's phase
+	// histograms see it exactly once.
+	return withCompile(c, opt.Trace, func(p *Compiled) ([]*Result, error) {
+		return p.AnalyzeBatch(context.Background(), batch, mode, opt)
+	}, func(rs []*Result) *Stats { return &rs[0].Stats })
 }
 
 // Compiled is a reusable analysis handle: a circuit bound to its levelized
@@ -547,20 +549,22 @@ func (c *Circuit) AnalyzeBatch(batch [][]PIEvent, mode Mode, opt Options) ([]*Re
 // circuit is compiled again.
 //
 // A Compiled handle is safe for concurrent use: Analyze and AnalyzeBatch
-// only read the circuit and schedule (the lazily built cone tables are
-// guarded by a sync.Once, the per-vector scratch by a sync.Pool).
+// only read the circuit and schedule (the lazily built consumer table is
+// guarded by a sync.Once, the per-walk scratch by a sync.Pool).
 type Compiled struct {
 	c      *Circuit
 	levels [][]*Gate
 	gates  int
+	// id identifies this handle among all handles of the process; results
+	// carry it so AnalyzeDelta can reject another handle's baseline.
+	id uint64
 
 	// Snapshots taken at compile time; structural edits to the circuit
 	// afterwards are not reflected (and events on nets created after the
 	// compile are rejected rather than silently mis-indexed).
 	numNets  int
-	gateList []*Gate   // gate index -> *Gate, netlist order
-	levelIdx [][]int32 // the levelized schedule as gate indices
-	pis      []*Net    // primary inputs at compile time
+	gateList []*Gate // gate index -> *Gate, netlist order
+	pis      []*Net  // primary inputs at compile time
 
 	maxWidth int // widest level, sizes the per-level eval buffer
 
@@ -573,34 +577,24 @@ type Compiled struct {
 	// (it is the levelized schedule in a second shape, O(gates) to fill).
 	gateLevel []int32
 
-	// Net -> consuming-gate edges in CSR form over net IDs, built lazily on
-	// first use (cone construction, delta propagation): consumers of net id
-	// n are cons[consOff[n]:consOff[n+1]], gate indices ascending.
+	// Net -> consuming-gate edges in CSR form over net IDs (the "consumer
+	// CSR"), built lazily by the first walk: consumers of net id n are
+	// cons[consOff[n]:consOff[n+1]], gate indices ascending.
 	consOnce sync.Once
 	consOff  []int32
 	cons     []int32
 
-	// Per-PI fanout cones, built lazily on the first sparse analysis (the
-	// Dense escape hatch never pays for them). CSR layout: cone of PI
-	// ordinal k is cones[coneOff[k]:coneOff[k+1]], gate indices in BFS
-	// order. piOrd maps net ID -> PI ordinal (-1 for non-PIs). conesReady
-	// lets an incremental recompile see (without blocking) whether the old
-	// handle ever built cones and therefore whether prefiring new ones is
-	// worth it.
-	coneOnce   sync.Once
-	conesReady atomic.Bool
-	coneOff    []int32
-	cones      []int32
-	piOrd      []int32
-
 	scratch sync.Pool // *evalScratch
 }
+
+// handleSeq numbers compiled handles process-wide (see Compiled.id).
+var handleSeq atomic.Uint64
 
 // Compile levelizes the circuit into a reusable analysis handle. It fails
 // exactly when Analyze would: on a combinational loop. The handle is
 // memoized on the circuit until the next structural mutation, so repeated
-// Analyze/AnalyzeBatch calls share one levelization, one set of fanout
-// cones and one scratch pool.
+// Analyze/AnalyzeBatch calls share one levelization, one consumer table and
+// one scratch pool.
 func (c *Circuit) Compile() (*Compiled, error) {
 	p, _, err := c.compileTimed(nil)
 	return p, err
@@ -617,8 +611,8 @@ func (c *Circuit) stale(p *Compiled) bool {
 // fresh is true when this call actually built the handle (rather than
 // reusing the memoized one), which is when its levelizeWall is chargeable
 // to the caller. tr == nil records nothing. A stale memoized handle is not
-// discarded: it seeds an incremental recompile that re-levelizes and
-// re-cones only the appended suffix and its downstream fanout.
+// discarded: it seeds an incremental recompile that re-levelizes only the
+// appended suffix and its downstream fanout.
 func (c *Circuit) compileTimed(tr *obs.Trace) (p *Compiled, fresh bool, err error) {
 	c.compileMu.Lock()
 	old := c.compiled
@@ -659,30 +653,31 @@ func (c *Circuit) compileFull(tr *obs.Trace) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newCompiled(c, levels, levelizeWall), nil
+}
+
+// newCompiled assembles a handle around the circuit's levelized schedule,
+// snapshotting the circuit and deriving the per-gate level table.
+func newCompiled(c *Circuit, levels [][]*Gate, levelizeWall time.Duration) *Compiled {
 	p := &Compiled{
 		c:            c,
 		levels:       levels,
 		gates:        len(c.Gates),
+		id:           handleSeq.Add(1),
 		numNets:      len(c.nets),
+		gateList:     append([]*Gate(nil), c.Gates...),
 		pis:          append([]*Net(nil), c.PIs...),
 		levelizeWall: levelizeWall,
+		gateLevel:    make([]int32, len(c.Gates)),
 	}
-	p.gateList = append([]*Gate(nil), c.Gates...)
-	p.gateLevel = make([]int32, p.gates)
-	p.levelIdx = make([][]int32, len(levels))
 	for li, level := range levels {
-		if len(level) > p.maxWidth {
-			p.maxWidth = len(level)
-		}
-		row := make([]int32, len(level))
-		for k, g := range level {
-			row[k] = g.idx
+		p.maxWidth = max(p.maxWidth, len(level))
+		for _, g := range level {
 			p.gateLevel[g.idx] = int32(li)
 		}
-		p.levelIdx[li] = row
 	}
 	p.scratch.New = func() any { return newEvalScratch(p) }
-	return p, nil
+	return p
 }
 
 // Circuit returns the underlying circuit (for net lookup and reporting).
@@ -918,8 +913,8 @@ func (r *Result) CriticalPath(n *Net, dir waveform.Direction) ([]PathStep, error
 		// A valid trace visits each populated net at most once per
 		// direction; more steps than that means the back-pointers form a
 		// cycle. (Bounded by the compact store size, not the net count: a
-		// sparse result indexes every net, but only nets inside the
-		// stimulated cones carry arrivals a trace can visit.)
+		// result indexes every net, but only nets the walk reached carry
+		// arrivals a trace can visit.)
 		if len(path) > 2*len(r.arr)+2 {
 			return nil, fmt.Errorf("sta: path trace runaway")
 		}

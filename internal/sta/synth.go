@@ -112,8 +112,8 @@ func SynthRandom(nPIs, nGates int, seed int64) (*Circuit, error) {
 // shared between tiles. This is the block-partitioned shape of real designs
 // where batch timing queries have locality — a vector that stimulates one
 // tile's inputs can only ever reach that tile's gates, so it is the
-// reference workload for cone-pruned sparse scheduling (and the worst case
-// for a dense walk, which visits every tile regardless).
+// reference workload for partial-activity analysis (the walk runs one tile
+// of many).
 func SynthTiled(nTiles, pisPerTile, gatesPerTile int, seed int64) (*Circuit, error) {
 	if nTiles < 1 || pisPerTile < 1 || gatesPerTile < 1 {
 		return nil, fmt.Errorf("sta: need at least one tile, PI and gate per tile")
@@ -190,7 +190,7 @@ func SynthEvents(c *Circuit, seed int64) []PIEvent {
 }
 
 // SynthEventsFor builds one deterministic event per net of a primary-input
-// subset — the partial-stimulus shape sparse scheduling exists for.
+// subset — the partial-stimulus shape.
 func SynthEventsFor(pis []*Net, seed int64) []PIEvent {
 	rng := rand.New(rand.NewSource(seed))
 	evs := make([]PIEvent, len(pis))
