@@ -133,7 +133,9 @@ func CalibrateCorrection(calc *Calculator, sim *macromodel.GateSim, dirs ...wave
 // MinPulseWidth returns the narrowest same-pin input pulse (leading edge
 // firstDir) that still produces a complete output transition — the inertial
 // pulse-filtering boundary of Section 6's closing remark. Requires a
-// characterized pulse model for the pin.
+// characterized pulse model for the pin. When no width in the characterized
+// range completes the transition, ok is false and width is +Inf (never
+// zero: "no pulse passes" must not read as "every pulse passes").
 func MinPulseWidth(m *macromodel.GateModel, pin int, firstDir waveform.Direction, ttFirst, ttSecond float64) (width float64, ok bool, err error) {
 	pm := m.Pulse(pin, firstDir)
 	if pm == nil {

@@ -31,7 +31,7 @@ func TestEvaluateConcurrentReadOnly(t *testing.T) {
 			{Pin: 2, Dir: dir, TT: 200e-12, Cross: -sep / 2},
 		})
 	}
-	refs := make([]*core.Result, len(cases))
+	refs := make([]core.Result, len(cases))
 	for i, evs := range cases {
 		r, err := calc.Evaluate(evs)
 		if err != nil {

@@ -103,11 +103,11 @@ type CorrectionTrace struct {
 // bit-identical result, asserted by tests — while recording the decision
 // trace. It is not on the analysis hot path: explain requests re-run the
 // evaluation for the nets they ask about.
-func (c *Calculator) EvaluateExplain(events []InputEvent) (*Result, *Explain, error) {
+func (c *Calculator) EvaluateExplain(events []InputEvent) (Result, *Explain, error) {
 	ex := &Explain{}
 	r, err := c.evaluate(events, ex)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, nil, err
 	}
 	return r, ex, nil
 }

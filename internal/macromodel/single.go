@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/table"
 	"repro/internal/waveform"
@@ -38,6 +39,15 @@ type SingleInputModel struct {
 	// grid point — exposed so the normalized forms (3.7)/(3.8) can be
 	// plotted and reused across loads.
 	NormLoad []float64 `json:"normLoad"`
+
+	// ln caches ln(TauAxis[i]), built on first use; see lnBracket.
+	ln atomic.Pointer[lnNodes]
+}
+
+// lnNodes is ln of every τ-axis node, with the node values the logs were
+// taken of.
+type lnNodes struct {
+	tau, ln []float64
 }
 
 // CharacterizeSingle sweeps the τ grid for one pin/direction.
@@ -82,31 +92,71 @@ func (g *GateSim) pinStrength(pin int, dir waveform.Direction) float64 {
 	return 0.5 * g.Cell.Proc.PMOS.KP * geom.WP / geom.L
 }
 
-// interpLogTau interpolates ys over the model's τ axis at τ, linear in
-// ln(τ), clamped at the ends.
-func (m *SingleInputModel) interpLogTau(ys []float64, tau float64) float64 {
+// lnBracket returns ln(TauAxis[i-1]) and ln(TauAxis[i]) from the cached
+// nodes. The cache never goes stale: it keeps a copy of the node values it
+// took the logs of and is rebuilt when either bracketing node (or the axis
+// length) differs from the live axis, so a model edited after its first
+// lookup reads the logs of its current nodes.
+func (m *SingleInputModel) lnBracket(i int) (llo, lhi float64) {
+	ax := m.TauAxis
+	c := m.ln.Load()
+	if c == nil || len(c.tau) != len(ax) || c.tau[i-1] != ax[i-1] || c.tau[i] != ax[i] {
+		c = &lnNodes{tau: append([]float64(nil), ax...), ln: make([]float64, len(ax))}
+		for k, t := range c.tau {
+			c.ln[k] = math.Log(t)
+		}
+		m.ln.Store(c)
+	}
+	return c.ln[i-1], c.ln[i]
+}
+
+// locate brackets τ on the axis for interpolation linear in ln(τ), clamped
+// at the ends: f < 0 means "exactly node i" (no interpolation); otherwise
+// the value is ys[i-1] + f·(ys[i] − ys[i-1]). The fraction is
+// (ln τ − ln lo)/(ln hi − ln lo), with ln τ taken once and the node logs
+// read from the cache.
+func (m *SingleInputModel) locate(tau float64) (i int, f float64) {
 	ax := m.TauAxis
 	n := len(ax)
 	if tau <= ax[0] {
-		return ys[0]
+		return 0, -1
 	}
 	if tau >= ax[n-1] {
-		return ys[n-1]
+		return n - 1, -1
 	}
-	i := sort.SearchFloat64s(ax, tau)
+	i = sort.SearchFloat64s(ax, tau)
 	if ax[i] == tau {
+		return i, -1
+	}
+	llo, lhi := m.lnBracket(i)
+	return i, (math.Log(tau) - llo) / (lhi - llo)
+}
+
+func lerp(ys []float64, i int, f float64) float64 {
+	if f < 0 {
 		return ys[i]
 	}
-	lo, hi := ax[i-1], ax[i]
-	f := (math.Log(tau) - math.Log(lo)) / (math.Log(hi) - math.Log(lo))
 	return ys[i-1] + f*(ys[i]-ys[i-1])
 }
 
+// At returns Δ(1) and τ(1)_out for an input transition time τ with one
+// bracket search and one logarithm: bit-identical to DelayAt and OutTTAt.
+func (m *SingleInputModel) At(tau float64) (delay, outTT float64) {
+	i, f := m.locate(tau)
+	return lerp(m.Delay, i, f), lerp(m.OutTT, i, f)
+}
+
 // DelayAt returns Δ(1) for an input transition time τ.
-func (m *SingleInputModel) DelayAt(tau float64) float64 { return m.interpLogTau(m.Delay, tau) }
+func (m *SingleInputModel) DelayAt(tau float64) float64 {
+	i, f := m.locate(tau)
+	return lerp(m.Delay, i, f)
+}
 
 // OutTTAt returns τ(1)_out for an input transition time τ.
-func (m *SingleInputModel) OutTTAt(tau float64) float64 { return m.interpLogTau(m.OutTT, tau) }
+func (m *SingleInputModel) OutTTAt(tau float64) float64 {
+	i, f := m.locate(tau)
+	return lerp(m.OutTT, i, f)
+}
 
 // NormalizedDelay returns the paper's equation-(3.7) view of the model:
 // pairs (u, Δ/τ) with u = CL/(K·Vdd·τ).

@@ -258,7 +258,7 @@ func TestEmptyBatchRejected(t *testing.T) {
 // TestLatestWorstSlackAllocFree: the per-PO report helpers run per output
 // per request in the service's response builder — they must not allocate.
 func TestLatestWorstSlackAllocFree(t *testing.T) {
-	if raceEnabled {
+	if sta.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c, err := sta.SynthRandom(8, 100, 4)

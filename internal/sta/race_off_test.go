@@ -1,8 +1,10 @@
 //go:build !race
 
-package sta_test
+package sta
 
-// raceEnabled reports whether the race detector is compiled in. Allocation
+// RaceEnabled reports whether the race detector is compiled in. Allocation
 // assertions (testing.AllocsPerRun) are skipped under -race: the detector
-// instruments allocations and the counts stop meaning anything.
-const raceEnabled = false
+// instruments allocations and the counts stop meaning anything. Declared in
+// the package itself (test builds only) so its internal and external tests
+// share it.
+const RaceEnabled = false

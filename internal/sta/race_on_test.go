@@ -1,7 +1,7 @@
 //go:build race
 
-package sta_test
+package sta
 
-// raceEnabled reports whether the race detector is compiled in. See
+// RaceEnabled reports whether the race detector is compiled in. See
 // race_off_test.go.
-const raceEnabled = true
+const RaceEnabled = true

@@ -206,7 +206,9 @@ func (g *Gate) Characterize(cfg Characterization) (*Model, error) {
 
 // MinPulseWidth returns the narrowest pulse on a pin that still produces a
 // complete output transition (requires the pin to be listed in
-// Characterization.Pulse).
+// Characterization.Pulse). When no width in the characterized range
+// completes the transition, ok is false and width is +Inf, so a caller that
+// skips ok still reads "no pulse passes".
 func (m *Model) MinPulseWidth(pin int, ttFirst, ttSecond float64) (width float64, ok bool, err error) {
 	for _, pm := range m.Data.Pulses {
 		if pm.Pin == pin {
@@ -254,7 +256,11 @@ func (m *Model) Delay(ts []Transition) (*Result, error) {
 	for i, t := range ts {
 		evs[i] = core.InputEvent{Pin: t.Pin, Dir: t.Dir, TT: t.TT, Cross: t.At}
 	}
-	return m.calc.Evaluate(evs)
+	r, err := m.calc.Evaluate(evs)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
 // SingleDelay returns the single-input delay and output transition time.

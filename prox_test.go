@@ -5,6 +5,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/macromodel"
+	"repro/internal/table"
+	"repro/internal/waveform"
 )
 
 // facade rig: a fast-characterized NAND2 shared across the package tests.
@@ -141,6 +145,22 @@ func TestMinPulseWidthFacade(t *testing.T) {
 	}
 	if _, _, err := model.MinPulseWidth(1, 1e-10, 1e-10); err == nil {
 		t.Error("uncharacterized pulse pin accepted")
+	}
+}
+
+// TestMinPulseWidthNeverCompletes: when no characterized width passes the
+// threshold the facade reports (+Inf, false), never 0.
+func TestMinPulseWidthNeverCompletes(t *testing.T) {
+	g := table.MustNew([]float64{50e-12, 2e-9}, []float64{50e-12, 2e-9}, table.LinSpace(50e-12, 2.5e-9, 5))
+	g.Fill(func([]float64) (float64, error) { return 1.0, nil }) // peak 1 V, below Vih
+	data := macromodel.SynthModel("nand", 2)
+	data.Pulses = []*macromodel.PulseModel{{Pin: 0, FirstDir: waveform.Falling, PositiveGoing: true, Extreme: g}}
+	w, ok, err := (&Model{Data: data}).MinPulseWidth(0, 200*Picosecond, 200*Picosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || !math.IsInf(w, 1) {
+		t.Fatalf("MinPulseWidth = (%g, %v), want (+Inf, false)", w, ok)
 	}
 }
 
