@@ -274,6 +274,11 @@ type Metrics struct {
 	PulsesDegraded expvar.Int
 	PulsesUnjudged expvar.Int
 
+	// Panics counts analyses that failed with a panic the engine recovered
+	// (answered 500): a defect in a model, a backend or the engine. Any
+	// nonzero value deserves a look at the logged error.
+	Panics expvar.Int
+
 	// phases aggregates the engine's per-phase wall timings across every
 	// analysis this server ran, one histogram per obs.Phase.
 	phases [obs.NumPhases]*Histogram
@@ -369,8 +374,8 @@ func (m *Metrics) writeJSON(b *strings.Builder, reg RegistryStats, netlists int)
 	fmt.Fprintf(b, ` "vectors": %s, "gatesEvaluated": %s, "proximityEvals": %s, "singleArcEvals": %s,`+"\n",
 		m.Vectors.String(), m.GatesEvaluated.String(), m.ProximityEvals.String(), m.SingleArcEvals.String())
 	fmt.Fprintf(b, ` "mcRuns": %s, "mcSamples": %s,`+"\n", m.MCRuns.String(), m.MCSamples.String())
-	fmt.Fprintf(b, ` "pulsesFiltered": %s, "pulsesDegraded": %s, "pulsesUnjudged": %s,`+"\n",
-		m.PulsesFiltered.String(), m.PulsesDegraded.String(), m.PulsesUnjudged.String())
+	fmt.Fprintf(b, ` "pulsesFiltered": %s, "pulsesDegraded": %s, "pulsesUnjudged": %s, "panics": %s,`+"\n",
+		m.PulsesFiltered.String(), m.PulsesDegraded.String(), m.PulsesUnjudged.String(), m.Panics.String())
 	fmt.Fprintf(b, ` "modelCache": {"hits":%d,"misses":%d,"evictions":%d,"loadErrors":%d,"resident":%d},`+"\n",
 		reg.Hits, reg.Misses, reg.Evictions, reg.LoadErrors, reg.Resident)
 	fmt.Fprintf(b, ` "netlistsResident": %d,`+"\n", netlists)
@@ -443,6 +448,7 @@ func (m *Metrics) writeProm(b *strings.Builder, reg RegistryStats, netlists int)
 		{"stad_pulses_filtered_total", "Runt pulses absorbed by Section-6 filtering.", m.PulsesFiltered.Value()},
 		{"stad_pulses_degraded_total", "Runt pulses propagated with degraded transition time.", m.PulsesDegraded.Value()},
 		{"stad_pulses_unjudged_total", "Runt pulses with no glitch model to judge them (propagated untouched).", m.PulsesUnjudged.Value()},
+		{"stad_panics_total", "Analyses failed by a panic the engine recovered (answered 500).", m.Panics.Value()},
 		{"stad_model_cache_hits_total", "Model registry cache hits.", reg.Hits},
 		{"stad_model_cache_misses_total", "Model registry cache misses.", reg.Misses},
 		{"stad_model_cache_evictions_total", "Model registry evictions.", reg.Evictions},

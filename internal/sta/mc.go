@@ -283,9 +283,19 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 		workers = opt.Samples
 	}
 	errs := make([]error, opt.Samples)
+	// One sample, with a panic outside the per-gate evaluation (which the
+	// walk already contains) recovered as that sample's error.
+	run := func(si int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = recovered(r)
+			}
+		}()
+		return runSample(si)
+	}
 	if workers <= 1 {
 		for si := 0; si < opt.Samples; si++ {
-			if errs[si] = runSample(si); errs[si] != nil {
+			if errs[si] = run(si); errs[si] != nil {
 				break
 			}
 		}
@@ -301,7 +311,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 					if si >= opt.Samples {
 						return
 					}
-					errs[si] = runSample(si)
+					errs[si] = run(si)
 				}
 			}()
 		}
