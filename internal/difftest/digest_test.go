@@ -6,8 +6,9 @@ package difftest
 // and core.EvaluatePulse, so a change that moves every path alike passes
 // all of them. TestDigests compares against the past instead: one FNV-64
 // digest per (config, mode, filtering) over the arrival bits and Stats
-// counters of all 120 configs, plus Monte-Carlo runs at sigma > 0 and the
-// Explain stories, recorded in testdata/digests.txt.
+// counters of all 120 configs, plus Monte-Carlo runs at sigma > 0, the
+// Explain stories, and stad's answer bytes (the http family,
+// http_digest_test.go), recorded in testdata/digests.txt.
 //
 // Regenerate only when answers are meant to move, and log the regeneration
 // (which digests moved, and why) in CHANGES.md:
@@ -245,7 +246,8 @@ func filterName(on bool) string {
 //     over full vector 0 and partial vector 1;
 //   - mc: every sixth config at sigma 0.05 (seeded, two workers, with the
 //     slow and fast corners), filtering off and on;
-//   - explain: every fourth config, filtering off and on, every net.
+//   - explain: every fourth config, filtering off and on, every net;
+//   - http: status and body of stad's answers (computeHTTPDigests).
 func computeDigests(t *testing.T) []digestEntry {
 	t.Helper()
 	var out []digestEntry
@@ -321,7 +323,7 @@ func computeDigests(t *testing.T) []digestEntry {
 			}
 		}
 	}
-	return out
+	return append(out, computeHTTPDigests(t)...)
 }
 
 func readDigests(t *testing.T) map[string]uint64 {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/macromodel"
 	"repro/internal/service"
 	"repro/internal/sta"
@@ -22,10 +23,13 @@ import (
 // bit-identical, not merely close.
 type httpRig struct {
 	ts  *httptest.Server
+	srv *service.Server
 	lib *sta.Library
 }
 
-func newHTTPRig(t *testing.T) *httpRig {
+// newHTTPRig starts the server with cfg (its Registry is the rig's). prep,
+// when non-nil, sees every loaded calculator before the server starts.
+func newHTTPRig(t *testing.T, cfg service.Config, prep func(name string, calc *core.Calculator)) *httpRig {
 	t.Helper()
 	dir := t.TempDir()
 	cells := map[string]*macromodel.GateModel{
@@ -39,17 +43,22 @@ func newHTTPRig(t *testing.T) *httpRig {
 		}
 	}
 	reg := service.NewRegistry(dir, 8)
-	ts := httptest.NewServer(service.New(service.Config{Registry: reg}))
-	t.Cleanup(ts.Close)
 	lib := sta.NewLibrary()
 	for name := range cells {
 		calc, err := reg.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if prep != nil {
+			prep(name, calc)
+		}
 		lib.Add(name, calc)
 	}
-	return &httpRig{ts: ts, lib: lib}
+	cfg.Registry = reg
+	srv := service.New(cfg)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return &httpRig{ts: ts, srv: srv, lib: lib}
 }
 
 func (r *httpRig) post(t *testing.T, path string, body, out any) int {
@@ -114,7 +123,7 @@ func checkWireAgainstEngine(t *testing.T, label string, c *sta.Circuit, res *sta
 // compared too) and /v1/analyze:batch, and require bit-identity with the
 // in-process engine over the same registry-loaded models.
 func TestOracleHTTPVsInProcess(t *testing.T) {
-	rig := newHTTPRig(t)
+	rig := newHTTPRig(t, service.Config{}, nil)
 	for _, cfg := range Configs(nConfigs) {
 		c, err := cfg.Build()
 		if err != nil {
