@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sta"
 	"repro/internal/stats"
 )
 
@@ -330,29 +331,29 @@ func (m *Metrics) observe(endpoint string, status int, d time.Duration) {
 	m.Latency(endpoint).Observe(d)
 }
 
-// addStats folds one analysis result's counters into the workload totals.
-func (m *Metrics) addStats(gates, prox, single int) {
-	m.Vectors.Add(1)
-	m.GatesEvaluated.Add(int64(gates))
-	m.ProximityEvals.Add(int64(prox))
-	m.SingleArcEvals.Add(int64(single))
-}
-
-// addPulses folds one analysis's Section-6 pulse-filtering counters in.
-func (m *Metrics) addPulses(filtered, degraded, unjudged int) {
-	m.PulsesFiltered.Add(int64(filtered))
-	m.PulsesDegraded.Add(int64(degraded))
-	m.PulsesUnjudged.Add(int64(unjudged))
-}
-
-// observePhases folds one analysis's phase timings in, recording only the
-// phases the call spent time in. A phase a call never ran — glitch without
-// pulse filtering, compile on a memoized handle, the consumer-table build
-// after the first walk, mc outside Monte-Carlo — reads zero, and recording
-// those zeroes would flood its histogram until the percentiles read 0.
-func (m *Metrics) observePhases(pt obs.PhaseTimes) {
+// addAnalysis folds one analysis's counters and phase timings into the
+// workload totals. A Monte-Carlo run (mcSamples > 0) counts as one run of
+// that many samples, anything else as one vector. Only the phases the
+// analysis spent time in are recorded: a phase a call never ran — glitch
+// without pulse filtering, compile on a memoized handle, the consumer-table
+// build after the first walk, mc outside Monte-Carlo — reads zero, and
+// recording those zeroes would flood its histogram until the percentiles
+// read 0.
+func (m *Metrics) addAnalysis(st *sta.Stats, mcSamples int) {
+	if mcSamples > 0 {
+		m.MCRuns.Add(1)
+		m.MCSamples.Add(int64(mcSamples))
+	} else {
+		m.Vectors.Add(1)
+	}
+	m.GatesEvaluated.Add(int64(st.GatesEvaluated))
+	m.ProximityEvals.Add(int64(st.ProximityEvals))
+	m.SingleArcEvals.Add(int64(st.SingleArcEvals))
+	m.PulsesFiltered.Add(int64(st.PulsesFiltered))
+	m.PulsesDegraded.Add(int64(st.PulsesDegraded))
+	m.PulsesUnjudged.Add(int64(st.PulsesUnjudged))
 	for _, p := range obs.Phases() {
-		if d := pt[p]; d > 0 {
+		if d := st.Phases[p]; d > 0 {
 			m.phases[p].Observe(d)
 		}
 	}

@@ -233,3 +233,50 @@ func TestMetricsJSONPhases(t *testing.T) {
 		t.Fatalf("glitch phase histogram holds %d observations after an unfiltered analyze, want 0", total)
 	}
 }
+
+// /v1/explain runs an analysis, so /metrics counts it like /v1/analyze: one
+// vector with its gate and evaluation counters, in the expvar totals and
+// their stad_*_total twins.
+func TestExplainCountsInMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	up := uploadTestNetlist(t, ts.URL)
+	var er ExplainResponse
+	if code := post(t, ts.URL+"/v1/explain", ExplainRequest{Netlist: up.ID, Nets: []string{"z"}, Vector: testVector(0)}, &er); code != 200 {
+		t.Fatalf("explain status %d", code)
+	}
+	var ar AnalyzeResponse
+	if code := post(t, ts.URL+"/v1/analyze", AnalyzeRequest{Netlist: up.ID, Vector: testVector(0)}, &ar); code != 200 {
+		t.Fatalf("analyze status %d", code)
+	}
+	if ar.GatesEvaluated == 0 || ar.ProximityEvals == 0 {
+		t.Fatalf("the vector exercises nothing: %+v", ar.VectorResult)
+	}
+	m := s.Metrics()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"vectors", m.Vectors.Value(), 2},
+		{"gatesEvaluated", m.GatesEvaluated.Value(), 2 * int64(ar.GatesEvaluated)},
+		{"proximityEvals", m.ProximityEvals.Value(), 2 * int64(ar.ProximityEvals)},
+		{"singleArcEvals", m.SingleArcEvals.Value(), 2 * int64(ar.SingleArcEvals)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d after one explain and one analyze of the same vector, want %d", c.name, c.got, c.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"stad_vectors_total 2", fmt.Sprintf("stad_gates_evaluated_total %d", 2*ar.GatesEvaluated)} {
+		if !strings.Contains(string(body), "\n"+want+"\n") {
+			t.Errorf("prom exposition lacks %q", want)
+		}
+	}
+}
