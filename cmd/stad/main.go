@@ -13,6 +13,8 @@
 //	POST /v1/analyze:delta  re-time a kept baseline under a stimulus edit
 //	                        (analyze with keepBaseline:true returns the
 //	                        baselineId; -max-baselines bounds the cache)
+//	POST /v1/analyze:mc     Monte-Carlo arrival distributions under process
+//	                        variation (admission weighted by samples)
 //	POST /v1/explain        per-net proximity decision traces
 //	GET  /healthz           liveness + cache/admission/flight occupancy
 //	GET  /metrics           counters, cache stats, latency + phase
@@ -38,15 +40,9 @@
 // The server drains gracefully on SIGTERM/SIGINT: in-flight analyses finish
 // (bounded by -drain), new connections are refused, and the shutdown logs
 // report how many requests were in flight and how long the drain took.
-//
-// Benchmark mode (-bench N) serves a synthetic netlist and library from a
-// temp directory, pushes N vectors through the batch endpoint over real
-// HTTP, and writes throughput plus cache stats to -bench-out — the
-// repository's service performance record.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -57,15 +53,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/macromodel"
 	"repro/internal/service"
-	"repro/internal/sta"
 )
 
 func main() {
@@ -89,12 +80,6 @@ func main() {
 
 		top         = flag.String("top", "", "live terminal view: poll a running stad at this base URL (e.g. http://127.0.0.1:8080) instead of serving")
 		topInterval = flag.Duration("top-interval", time.Second, "refresh period for -top")
-
-		bench        = flag.Int("bench", 0, "benchmark mode: push N vectors through a synthetic service and exit")
-		benchGates   = flag.Int("bench-gates", 4000, "benchmark netlist size (gates)")
-		benchClients = flag.Int("bench-clients", 8, "benchmark concurrent clients")
-		benchBatch   = flag.Int("bench-batch", 32, "vectors per batch request")
-		benchOut     = flag.String("bench-out", "BENCH_service.json", "benchmark result file")
 	)
 	flag.Parse()
 
@@ -125,13 +110,6 @@ func main() {
 		}
 		defer f.Close()
 		cfg.WideLog = f
-	}
-	if *bench > 0 {
-		if err := runBench(cfg, *bench, *benchGates, *benchClients, *benchBatch, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "stad: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	cfg.Registry = service.NewRegistry(*lib, *cacheSize)
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -216,203 +194,6 @@ func opsHandler(svc *service.Server) http.Handler {
 	mux.Handle("/metrics", svc)
 	mux.Handle("/healthz", svc)
 	return mux
-}
-
-// benchResult is the BENCH_service.json schema — one record per run so the
-// perf trajectory can be compared across PRs.
-type benchResult struct {
-	Timestamp     string  `json:"timestamp"`
-	NetlistGates  int     `json:"netlistGates"`
-	NetlistLevels int     `json:"netlistLevels"`
-	Vectors       int     `json:"vectors"`
-	Clients       int     `json:"clients"`
-	BatchSize     int     `json:"batchSize"`
-	WallSec       float64 `json:"wallSec"`
-	VectorsPerSec float64 `json:"vectorsPerSec"`
-	GatesPerSec   float64 `json:"gateEvalsPerSec"`
-
-	CacheHits    int64   `json:"cacheHits"`
-	CacheMisses  int64   `json:"cacheMisses"`
-	CacheHitRate float64 `json:"cacheHitRate"`
-
-	GatesEvaluated int64 `json:"gatesEvaluated"`
-	ProximityEvals int64 `json:"proximityEvals"`
-}
-
-// runBench measures end-to-end service throughput: synthetic library on
-// disk (loaded through the real registry), synthetic netlist uploaded over
-// real HTTP, vectors pushed through /v1/analyze:batch by concurrent
-// clients.
-func runBench(cfg service.Config, vectors, gates, clients, batchSize int, outPath string) error {
-	dir, err := os.MkdirTemp("", "stad-bench-lib")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	for _, cell := range []struct {
-		name string
-		kind string
-		n    int
-	}{{"inv", "inv", 1}, {"nand2", "nand", 2}, {"nand3", "nand", 3}} {
-		if err := macromodel.SynthModel(cell.kind, cell.n).Save(filepath.Join(dir, cell.name+".json")); err != nil {
-			return err
-		}
-	}
-	cfg.Registry = service.NewRegistry(dir, 8)
-	if cfg.MaxInflight < clients {
-		cfg.MaxInflight = clients
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: service.New(cfg)}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	circuit, err := sta.SynthRandom(64, gates, 42)
-	if err != nil {
-		return err
-	}
-	var netText strings.Builder
-	if err := sta.WriteNetlist(&netText, circuit); err != nil {
-		return err
-	}
-	// One upload per client, as independent sessions would: the first load
-	// of each cell model is a cache miss, every later upload hits — the
-	// amortization the registry exists for.
-	var up service.UploadResponse
-	for c := 0; c < clients; c++ {
-		if err := postJSON(base+"/v1/netlists", service.UploadRequest{Netlist: netText.String()}, &up); err != nil {
-			return fmt.Errorf("upload: %w", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "stad: bench netlist %s: %d gates, %d levels\n", up.ID, up.Gates, up.Levels)
-
-	// Pre-build the request bodies so the measured loop is pure service
-	// traffic. Vector i differs from vector j only in arrival times.
-	makeBatch := func(seed int) []byte {
-		vecs := make([][]service.Event, 0, batchSize)
-		for v := 0; v < batchSize; v++ {
-			events := sta.SynthEvents(circuit, int64(seed*batchSize+v))
-			vec := make([]service.Event, len(events))
-			for k, ev := range events {
-				dir := "rise"
-				if ev.Dir.String() == "falling" {
-					dir = "fall"
-				}
-				vec[k] = service.Event{Net: ev.Net.Name, Dir: dir, TTPs: ev.TT * 1e12, TimePs: ev.Time * 1e12}
-			}
-			vecs = append(vecs, vec)
-		}
-		body, _ := json.Marshal(service.BatchRequest{Netlist: up.ID, Vectors: vecs})
-		return body
-	}
-	nBatches := (vectors + batchSize - 1) / batchSize
-	bodies := make([][]byte, nBatches)
-	for i := range bodies {
-		bodies[i] = makeBatch(i)
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	next := make(chan int)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				var resp service.BatchResponse
-				if err := postBytes(base+"/v1/analyze:batch", bodies[i], &resp); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < nBatches; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	wall := time.Since(start)
-
-	var metrics struct {
-		Vectors        int64 `json:"vectors"`
-		GatesEvaluated int64 `json:"gatesEvaluated"`
-		ProximityEvals int64 `json:"proximityEvals"`
-		ModelCache     struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
-		} `json:"modelCache"`
-	}
-	if err := getJSON(base+"/metrics", &metrics); err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-
-	done := nBatches * batchSize
-	res := benchResult{
-		Timestamp:      time.Now().UTC().Format(time.RFC3339),
-		NetlistGates:   up.Gates,
-		NetlistLevels:  up.Levels,
-		Vectors:        done,
-		Clients:        clients,
-		BatchSize:      batchSize,
-		WallSec:        wall.Seconds(),
-		VectorsPerSec:  float64(done) / wall.Seconds(),
-		GatesPerSec:    float64(metrics.GatesEvaluated) / wall.Seconds(),
-		CacheHits:      metrics.ModelCache.Hits,
-		CacheMisses:    metrics.ModelCache.Misses,
-		GatesEvaluated: metrics.GatesEvaluated,
-		ProximityEvals: metrics.ProximityEvals,
-	}
-	if total := res.CacheHits + res.CacheMisses; total > 0 {
-		res.CacheHitRate = float64(res.CacheHits) / float64(total)
-	}
-	data, err := json.MarshalIndent(res, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "stad: bench: %d vectors in %.2fs = %.0f vectors/s (%.2e gate evals/s, cache hit rate %.2f)\n",
-		done, res.WallSec, res.VectorsPerSec, res.GatesPerSec, res.CacheHitRate)
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
-}
-
-func postJSON(url string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return postBytes(url, body, resp)
-}
-
-func postBytes(url string, body []byte, resp any) error {
-	r, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		var er service.ErrorResponse
-		json.NewDecoder(r.Body).Decode(&er)
-		return fmt.Errorf("%s: status %d: %s", url, r.StatusCode, er.Error)
-	}
-	return json.NewDecoder(r.Body).Decode(resp)
 }
 
 func getJSON(url string, resp any) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -105,6 +106,25 @@ func uploadDrainNetlist(t *testing.T, base string, gates int) (service.UploadRes
 		t.Fatal(err)
 	}
 	return up, circuit
+}
+
+// postJSON posts req as JSON and decodes a 200 answer into resp.
+func postJSON(url string, req, resp any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	r, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		var er service.ErrorResponse
+		json.NewDecoder(r.Body).Decode(&er)
+		return fmt.Errorf("%s: status %d: %s", url, r.StatusCode, er.Error)
+	}
+	return json.NewDecoder(r.Body).Decode(resp)
 }
 
 func wireVector(circuit *sta.Circuit, seed int64) []service.Event {
