@@ -12,8 +12,10 @@ import (
 
 // fuzzPaths are the POST endpoints FuzzServerJSON exercises. The selector
 // byte indexes this list so arbitrary fuzz bytes cannot form an invalid
-// request URL (httptest.NewRequest panics on those).
-var fuzzPaths = []string{"/v1/netlists", "/v1/analyze", "/v1/analyze:batch"}
+// request URL (httptest.NewRequest panics on those). New endpoints are
+// appended, so the checked-in corpus's selectors keep their meaning.
+var fuzzPaths = []string{"/v1/netlists", "/v1/analyze", "/v1/analyze:batch",
+	"/v1/analyze:delta", "/v1/analyze:mc", "/v1/explain"}
 
 // FuzzServerJSON throws arbitrary bodies at the service's POST endpoints
 // through ServeHTTP directly (no network) and checks the boundary contract:
@@ -33,9 +35,10 @@ func FuzzServerJSON(f *testing.F) {
 	}
 	srv := New(Config{Registry: NewRegistry(dir, 8), MaxNetlists: 32})
 
-	// Preload one netlist so seed analyze bodies can reference a live ID.
-	// Fuzzed uploads may later evict it (MaxNetlists), which only turns
-	// those requests into 404s — still within the contract.
+	// Preload one netlist and one baseline so seed bodies can reference
+	// live IDs. Fuzzed uploads and kept baselines may later evict them
+	// (MaxNetlists, MaxBaselines), which only turns those requests into
+	// 404s — still within the contract.
 	upBody, _ := json.Marshal(UploadRequest{Netlist: testNetlist})
 	upReq := httptest.NewRequest("POST", "/v1/netlists", strings.NewReader(string(upBody)))
 	upRec := httptest.NewRecorder()
@@ -43,6 +46,13 @@ func FuzzServerJSON(f *testing.F) {
 	var up UploadResponse
 	if err := json.Unmarshal(upRec.Body.Bytes(), &up); err != nil || upRec.Code != 200 {
 		f.Fatalf("seed upload failed: status %d body %s", upRec.Code, upRec.Body)
+	}
+	blBody := `{"netlist":"` + up.ID + `","keepBaseline":true,"vector":[{"net":"a","dir":"fall","ttPs":300,"timePs":0},{"net":"b","dir":"fall","ttPs":250,"timePs":15}]}`
+	blRec := httptest.NewRecorder()
+	srv.ServeHTTP(blRec, httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(blBody)))
+	var bl AnalyzeResponse
+	if err := json.Unmarshal(blRec.Body.Bytes(), &bl); err != nil || blRec.Code != 200 || bl.BaselineID == "" {
+		f.Fatalf("seed baseline failed: status %d body %s", blRec.Code, blRec.Body)
 	}
 
 	seeds := []struct {
@@ -63,6 +73,14 @@ func FuzzServerJSON(f *testing.F) {
 		{2, `not json at all`},
 		{1, `[]`},
 		{0, `{"unknown_field":true}`},
+		{3, `{"baseline":"` + bl.BaselineID + `","nets":"all","set":[{"net":"c","dir":"fall","ttPs":350,"timePs":40}]}`},
+		{3, `{"baseline":"` + bl.BaselineID + `","remove":[{"net":"b","dir":"fall"}],"keepBaseline":true}`},
+		{3, `{"netlist":"n999","baseline":"` + bl.BaselineID + `","pulseFilter":true,"set":[{"net":"a","dir":"r","ttPs":1,"timePs":0}]}`},
+		{4, `{"netlist":"` + up.ID + `","vector":[{"net":"a","dir":"rise","ttPs":300,"timePs":0}],"samples":4,"seed":7,"sigma":0.05,"corners":["slow","fast"],"bins":4}`},
+		{4, `{"netlist":"` + up.ID + `","mode":"conv","vector":[{"net":"d","dir":"fall","ttPs":200,"timePs":0}],"samples":2,"pulseFilter":true}`},
+		{4, `{"netlist":"` + up.ID + `","vector":[{"net":"a","dir":"rise","ttPs":300,"timePs":0}],"samples":0,"sigma":-1}`},
+		{5, `{"netlist":"` + up.ID + `","nets":["x","z"],"vector":[{"net":"a","dir":"fall","ttPs":300,"timePs":0},{"net":"b","dir":"fall","ttPs":250,"timePs":15}]}`},
+		{5, `{"netlist":"` + up.ID + `","nets":[],"pulseFilter":true,"vector":[{"net":"a","dir":"fall","ttPs":300,"timePs":0}]}`},
 	}
 	for _, s := range seeds {
 		f.Add(s.sel, s.body)
