@@ -15,7 +15,14 @@ func (g *Grid) EvalCubic(coords ...float64) float64 {
 	if len(coords) != d {
 		panic("table: eval rank mismatch")
 	}
-	idx := make([]int, d)
+	// Eval's stack bound: rank <= 4 evaluates without allocating.
+	var idxArr [4]int
+	var idx []int
+	if d <= len(idxArr) {
+		idx = idxArr[:d]
+	} else {
+		idx = make([]int, d)
+	}
 	return g.cubicAxis(0, idx, coords)
 }
 

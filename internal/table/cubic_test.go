@@ -131,3 +131,15 @@ func TestCubic2DMixed(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalAllocFree: interpolating a rank-3 grid allocates nothing, linear
+// or cubic (the CubicTables ablation evaluates through EvalCubic).
+func TestEvalAllocFree(t *testing.T) {
+	g := MustNew([]float64{0, 1, 2, 3}, []float64{0, 1, 2}, LinSpace(-1, 1, 9))
+	if allocs := testing.AllocsPerRun(100, func() { g.Eval(1.5, 0.25, 0.3) }); allocs != 0 {
+		t.Errorf("Eval allocates %.1f objects per run", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.EvalCubic(1.5, 0.25, 0.3) }); allocs != 0 {
+		t.Errorf("EvalCubic allocates %.1f objects per run", allocs)
+	}
+}
