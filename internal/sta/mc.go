@@ -300,18 +300,25 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 			}
 		}
 	} else {
+		// Samples are handed out in index order, and none after one has
+		// failed: every lower index has been taken by then and runs to its
+		// end, so the lowest failing index below is the one the serial
+		// loop reports.
 		var next atomic.Int64
+		var failed atomic.Bool
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
+				for !failed.Load() {
 					si := int(next.Add(1) - 1)
 					if si >= opt.Samples {
 						return
 					}
-					errs[si] = run(si)
+					if errs[si] = run(si); errs[si] != nil {
+						failed.Store(true)
+					}
 				}
 			}()
 		}

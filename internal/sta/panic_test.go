@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -17,6 +18,14 @@ import (
 type panicDual struct{}
 
 func (panicDual) Ratios(int, int, waveform.Direction, float64, float64, float64, float64, float64) (float64, float64, error) {
+	panic("dual backend defect")
+}
+
+// countingPanicDual is panicDual counting its lookups.
+type countingPanicDual struct{ calls *atomic.Int64 }
+
+func (d countingPanicDual) Ratios(int, int, waveform.Direction, float64, float64, float64, float64, float64) (float64, float64, error) {
+	d.calls.Add(1)
 	panic("dual backend defect")
 }
 
@@ -141,5 +150,25 @@ func TestCommitPanicIsContained(t *testing.T) {
 			t.Errorf("Workers %d: error %v, want ErrPanic recovered by the walk", workers, err)
 		}
 		panicStack(t, fmt.Sprintf("Workers %d", workers), err, "applyPulseFilter")
+	}
+}
+
+// TestMCStopsAtFirstFailingSample: once a sample fails, the parallel MC
+// loop hands out no more samples — a stimulus every sample rejects costs a
+// few samples, not all of them — and still reports the lowest-index
+// failure, sample 0, as the serial loop does.
+func TestMCStopsAtFirstFailingSample(t *testing.T) {
+	c, evs, calc := panickyCircuit(t)
+	var calls atomic.Int64
+	calc.Dual = countingPanicDual{&calls}
+	const samples = 4096
+	_, err := c.AnalyzeMC(evs, sta.Proximity, sta.MCOptions{Samples: samples, Seed: 1, Sigma: 0.05,
+		Options: sta.Options{Workers: 2}})
+	if !errors.Is(err, sta.ErrPanic) || !strings.Contains(err.Error(), "mc sample 0:") {
+		t.Errorf("error %v, want ErrPanic naming sample 0", err)
+	}
+	// Each failing sample panics at its first dual lookup.
+	if n := calls.Load(); n == 0 || n > samples/16 {
+		t.Errorf("%d of %d samples ran: the loop kept handing out samples after one failed", n, samples)
 	}
 }
