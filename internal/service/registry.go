@@ -8,7 +8,9 @@ package service
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"sync"
 
@@ -169,15 +171,23 @@ func (r *Registry) evictExcess() {
 }
 
 // load reads, validates (macromodel.Load checks grid ranks and axes) and
-// wraps one model file.
+// wraps one model file. Its errors reach clients, so they name neither the
+// cell (the caller does) nor the file: where the library lives is the
+// server's business.
 func (r *Registry) load(name string) (*core.Calculator, error) {
 	if r.testLoadHook != nil {
 		r.testLoadHook(name)
 	}
-	path := filepath.Join(r.dir, name+".json")
-	m, err := macromodel.Load(path)
+	m, err := macromodel.Load(filepath.Join(r.dir, name+".json"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, errors.New("no model in the library")
+	}
 	if err != nil {
-		return nil, fmt.Errorf("service: cell %q: %w", name, err)
+		// Load wraps the reason in the file's path; keep the reason.
+		if reason := errors.Unwrap(err); reason != nil {
+			err = reason
+		}
+		return nil, fmt.Errorf("invalid model: %w", err)
 	}
 	return core.NewCalculator(m), nil
 }

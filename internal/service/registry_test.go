@@ -1,6 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -257,5 +262,42 @@ func TestRegistryBadNamesAndMissingFiles(t *testing.T) {
 	}
 	if st := r.Stats(); st.LoadErrors != 1 {
 		t.Fatalf("loadErrors %d, want 1", st.LoadErrors)
+	}
+}
+
+// TestUploadErrorsHideTheLibrary: an upload naming a cell the library
+// lacks, or one whose model file is broken, gets a 400 that names the cell
+// and the reason once, and neither the library directory nor the file.
+func TestUploadErrorsHideTheLibrary(t *testing.T) {
+	dir := t.TempDir()
+	writeSynthLibrary(t, dir, "inv")
+	if err := os.WriteFile(filepath.Join(dir, "nand2.json"), []byte(`{"numInputs": 0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Registry: NewRegistry(dir, 4)})
+	for _, tc := range []struct{ cell, want string }{
+		{"nor9", `cell \"nor9\": no model in the library`},
+		{"nand2", `cell \"nand2\": invalid model: numInputs 0, want \u003e= 1`},
+	} {
+		netlist := "input a b\ngate g1 " + tc.cell + " y a b\noutput y"
+		data, err := json.Marshal(UploadRequest{Netlist: netlist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/netlists", "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: %d %s, want 400 with %s", tc.cell, resp.StatusCode, body, tc.want)
+		}
+		if strings.Contains(string(body), dir) || strings.Contains(string(body), ".json") {
+			t.Errorf("%s: the answer discloses the library: %s", tc.cell, body)
+		}
 	}
 }
