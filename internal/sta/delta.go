@@ -48,7 +48,9 @@ type Delta struct {
 // both in place.
 func cloneForDelta(baseline *Result) *Result {
 	st := baseline.Stats
-	st.Phases, st.Wall = obs.PhaseTimes{}, 0 // the walk sets the rest afresh
+	// The walk sets the rest afresh, into a per-level table of its own.
+	st.Phases, st.Wall = obs.PhaseTimes{}, 0
+	st.PerLevel = make([]LevelStat, len(st.PerLevel))
 	return &Result{
 		Mode:           baseline.Mode,
 		Stats:          st,

@@ -146,6 +146,66 @@ func (p *Compiled) mcOutputs(events []PIEvent) []*Net {
 	return pos
 }
 
+// An mcWorker runs samples of one vector, one after another, through one
+// recycled Result. Each sample resets it in place (Result.reset) and seeds
+// the vector again, so a sample allocates nothing and costs what its cone
+// costs. The Result must never leave its sample: the sample's arrivals go
+// into the slab, and its verdicts and critical path into the votes, before
+// the next sample resets it.
+type mcWorker struct {
+	p      *Compiled
+	events []PIEvent
+	res    *Result
+	opt    Options // the samples' options: a serial walk, Perturb bound once
+	seed   uint64
+	sigma  float64
+	si     int // the sample being run, whose deviates multiplier draws
+}
+
+func (p *Compiled) newMCWorker(events []PIEvent, mode Mode, opt MCOptions) *mcWorker {
+	w := &mcWorker{
+		p:      p,
+		events: events,
+		res:    p.newResult(mode, opt.PulseFiltering, len(events)),
+		opt:    Options{Workers: 1, PulseFiltering: opt.PulseFiltering},
+		seed:   opt.Seed,
+		sigma:  opt.Sigma,
+	}
+	if opt.Sigma != 0 {
+		w.opt.Perturb = w.multiplier
+	}
+	return w
+}
+
+// multiplier is the perturbation hook of the worker's current sample: a
+// pure function of (seed, sample, gate), so any sample is reproducible in
+// isolation.
+func (w *mcWorker) multiplier(gi int32) float64 {
+	return mc.Multiplier(w.seed, w.si, w.sigma, gi)
+}
+
+// check validates the vector the way every sample's seed would, by seeding
+// it into the worker's result without walking it.
+func (w *mcWorker) check() error {
+	if len(w.events) == 0 {
+		return errEmptyVector
+	}
+	s := w.p.scratch.Get().(*evalScratch)
+	defer w.p.scratch.Put(s)
+	return w.p.seed(w.res, w.events, nil, s, "")
+}
+
+// sample analyzes sample si into the worker's result and returns it, valid
+// until the worker's next sample.
+func (w *mcWorker) sample(ctx context.Context, si int) (*Result, error) {
+	w.si = si
+	w.res.reset(w.events)
+	if err := w.p.analyzeInto(ctx, w.res, w.events, w.opt, int64(si)); err != nil {
+		return nil, err
+	}
+	return w.res, nil
+}
+
 // AnalyzeMC runs a Monte-Carlo analysis of one stimulus vector over the
 // precompiled schedule. Samples run in parallel across the worker budget;
 // results are bit-identical at every worker count (aggregation happens in
@@ -169,6 +229,14 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 		}
 		cornerMults[i] = m
 	}
+	// Every sample seeds the same vector, so a vector one sample rejects
+	// they all reject. Check it once, before anything sized by the sample
+	// count is allocated, under the name of the sample that would have
+	// reported it.
+	first := p.newMCWorker(events, mode, opt)
+	if err := first.check(); err != nil {
+		return nil, fmt.Errorf("sta: mc sample 0: %w", err)
+	}
 
 	// The aggregation axes: primary outputs that can actually transition
 	// under this stimulus. Restricting them up front keeps the per-sample
@@ -185,6 +253,12 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 		slab[i] = math.NaN()
 	}
 	critCount := make([]int64, p.gates)
+	// vote counts one step of a sample's critical path.
+	vote := func(_ *Net, a Arrival) {
+		if g := a.FromGate; g != nil {
+			atomic.AddInt64(&critCount[g.idx], 1)
+		}
+	}
 	var gatesEvaluated, evaluations, proximityEvals, singleArcEvals, gatesScheduled atomic.Int64
 	var pulsesFiltered, pulsesDegraded, pulsesUnjudged atomic.Int64
 
@@ -208,14 +282,8 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 		}
 	}
 
-	runSample := func(si int) error {
-		pv := Options{Workers: 1, PulseFiltering: opt.PulseFiltering}
-		if opt.Sigma != 0 {
-			// Capture si by value: the closure is the whole perturbation
-			// state, so any sample is reproducible in isolation.
-			pv.Perturb = func(gi int32) float64 { return mc.Multiplier(opt.Seed, si, opt.Sigma, gi) }
-		}
-		res, err := p.analyze(ctx, events, mode, pv, int64(si))
+	runSample := func(w *mcWorker, si int) error {
+		res, err := w.sample(ctx, si)
 		if err != nil {
 			return err
 		}
@@ -262,14 +330,8 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 			}
 		}
 		if found {
-			path, err := res.CriticalPath(worstNet, worstDir)
-			if err != nil {
+			if err := res.tracePath(worstNet, worstDir, vote); err != nil {
 				return fmt.Errorf("sample %d criticality trace: %w", si, err)
-			}
-			for _, step := range path {
-				if g := step.Arrival.FromGate; g != nil {
-					atomic.AddInt64(&critCount[g.idx], 1)
-				}
 			}
 		}
 		return nil
@@ -285,17 +347,17 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	errs := make([]error, opt.Samples)
 	// One sample, with a panic outside the per-gate evaluation (which the
 	// walk already contains) recovered as that sample's error.
-	run := func(si int) (err error) {
+	run := func(w *mcWorker, si int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = recovered(r)
 			}
 		}()
-		return runSample(si)
+		return runSample(w, si)
 	}
 	if workers <= 1 {
 		for si := 0; si < opt.Samples; si++ {
-			if errs[si] = run(si); errs[si] != nil {
+			if errs[si] = run(first, si); errs[si] != nil {
 				break
 			}
 		}
@@ -307,7 +369,11 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 		var next atomic.Int64
 		var failed atomic.Bool
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for wi := 0; wi < workers; wi++ {
+			w := first
+			if wi > 0 {
+				w = p.newMCWorker(events, mode, opt)
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -316,7 +382,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 					if si >= opt.Samples {
 						return
 					}
-					if errs[si] = run(si); errs[si] != nil {
+					if errs[si] = run(w, si); errs[si] != nil {
 						failed.Store(true)
 					}
 				}

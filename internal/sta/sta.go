@@ -21,6 +21,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -959,20 +960,34 @@ type PathStep struct {
 // following each arrival's dominant causing pin.
 func (r *Result) CriticalPath(n *Net, dir waveform.Direction) ([]PathStep, error) {
 	var path []PathStep
+	err := r.tracePath(n, dir, func(net *Net, a Arrival) {
+		path = append(path, PathStep{Net: net, Arrival: a})
+	})
+	if err != nil {
+		return nil, err
+	}
+	slices.Reverse(path) // source-to-sink order
+	return path, nil
+}
+
+// tracePath walks CriticalPath's path sink first, handing each step to
+// visit instead of collecting it, so a caller that only counts the path's
+// gates (the Monte-Carlo criticality vote) allocates nothing.
+func (r *Result) tracePath(n *Net, dir waveform.Direction, visit func(*Net, Arrival)) error {
 	cur, ok := r.Arrival(n, dir)
 	if !ok {
-		return nil, fmt.Errorf("sta: net %s has no %v arrival", n.Name, dir)
+		return fmt.Errorf("sta: net %s has no %v arrival", n.Name, dir)
 	}
 	net := n
-	for {
-		path = append(path, PathStep{Net: net, Arrival: cur})
+	for steps := 1; ; steps++ {
+		visit(net, cur)
 		if cur.FromGate == nil {
-			break
+			return nil
 		}
 		inNet := cur.FromGate.In[cur.FromPin]
 		prev, ok := r.Arrival(inNet, cur.Dir.Opposite())
 		if !ok {
-			return nil, fmt.Errorf("sta: broken path at net %s", inNet.Name)
+			return fmt.Errorf("sta: broken path at net %s", inNet.Name)
 		}
 		net, cur = inNet, prev
 		// A valid trace visits each populated net at most once per
@@ -980,15 +995,10 @@ func (r *Result) CriticalPath(n *Net, dir waveform.Direction) ([]PathStep, error
 		// cycle. (Bounded by the compact store size, not the net count: a
 		// result indexes every net, but only nets the walk reached carry
 		// arrivals a trace can visit.)
-		if len(path) > 2*len(r.arr)+2 {
-			return nil, fmt.Errorf("sta: path trace runaway")
+		if steps > 2*len(r.arr)+2 {
+			return fmt.Errorf("sta: path trace runaway")
 		}
 	}
-	// Reverse to source-to-sink order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, nil
 }
 
 // NetsByName returns all net names sorted, for deterministic reporting.

@@ -16,6 +16,7 @@ package sta
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -262,7 +263,7 @@ func (st *Stats) countRaw(raw dirArrivals, sign int) {
 // evaluation is race-free by construction; the commit runs serially in
 // netlist order, so arrivals, verdicts and the first error reported are
 // those of a serial walk. The context is polled before every non-empty
-// level.
+// level. res.Stats.PerLevel must hold one zeroed entry per level, its own.
 //
 // A panic anywhere in the walk is returned as an error wrapping ErrPanic:
 // runGate names the gate whose evaluation panicked, and a panic in the
@@ -286,7 +287,6 @@ func (p *Compiled) walk(ctx context.Context, res, base *Result, opt Options, s *
 	}
 	res.Stats.Workers = workers
 	res.Stats.Levels = len(p.levels)
-	res.Stats.PerLevel = make([]LevelStat, len(p.levels))
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("sta: analysis interrupted: %w", err)
 	}
@@ -379,7 +379,9 @@ func (p *Compiled) walk(ctx context.Context, res, base *Result, opt Options, s *
 			var wg sync.WaitGroup
 			for i := 0; i < w; i++ {
 				wg.Add(1)
-				go func(tid int64) {
+				// The name is passed, not captured: a captured levelName
+				// would move to the heap on every level of every walk.
+				go func(tid int64, name string) {
 					defer wg.Done()
 					// One span per worker per level, on the worker's own tid
 					// row: the trace viewer shows the level's parallel shape —
@@ -387,20 +389,22 @@ func (p *Compiled) walk(ctx context.Context, res, base *Result, opt Options, s *
 					// the level span it nests under.
 					var wspan obs.Span
 					if detail {
-						wspan = tr.Begin(pid, tid, "sta", levelName)
+						wspan = tr.Begin(pid, tid, "sta", name)
 					}
 					gates := 0
 					var evs []core.InputEvent
 					for {
 						k := int(next.Add(1) - 1)
 						if k >= len(bucket) {
-							wspan.Arg("gates", gates).End()
+							if detail {
+								wspan.Arg("gates", gates).End()
+							}
 							return
 						}
 						s.outs[k] = p.runGate(bucket[k], res, perturb, &evs)
 						gates++
 					}
-				}(int64(i + 1))
+				}(int64(i+1), levelName)
 			}
 			wg.Wait()
 		}
@@ -499,8 +503,60 @@ func (p *Compiled) walk(ctx context.Context, res, base *Result, opt Options, s *
 	return nil
 }
 
-// analyze runs one stimulus vector: a full analysis is the walk from an
-// empty result, with every event seeded as a change.
+// newResult returns an empty result of this handle for a vector of n
+// events: the index spans the netlist, the slab starts at two slots per
+// event, and the per-level table has one zeroed entry per level, which the
+// walk fills.
+func (p *Compiled) newResult(mode Mode, pulseFiltering bool, n int) *Result {
+	return &Result{
+		Mode:           mode,
+		Stats:          Stats{PerLevel: make([]LevelStat, len(p.levels))},
+		handle:         p.id,
+		pulseFiltering: pulseFiltering,
+		idx:            make([]int32, p.numNets),
+		arr:            make([]dirArrivals, 0, 2*n),
+	}
+}
+
+// reset empties a result whose last analysis was a full one of events, in
+// place, for another full analysis of the same vector. It zeroes everything
+// that analysis computed and keeps the backing of the index, the slab, the
+// per-level table and the pulse maps. Of the index it zeroes only the
+// entries the analysis wrote: the vector's nets, and the output net of every
+// slot's driving gate (every arrival a gate committed names it), so a reset
+// costs what the analysis' cone cost, not the netlist.
+func (r *Result) reset(events []PIEvent) {
+	for _, ev := range events {
+		if ev.Net != nil && int(ev.Net.id) < len(r.idx) {
+			r.idx[ev.Net.id] = 0
+		}
+	}
+	for k := range r.arr {
+		for d := range r.arr[k].a {
+			if g := r.arr[k].a[d].FromGate; g != nil {
+				r.idx[g.Out.id] = 0
+			}
+		}
+	}
+	clear(r.pulses)
+	clear(r.pulseRaw)
+	clear(r.Stats.PerLevel)
+	*r = Result{
+		Mode:           r.Mode,
+		Stats:          Stats{PerLevel: r.Stats.PerLevel},
+		handle:         r.handle,
+		pulseFiltering: r.pulseFiltering,
+		idx:            r.idx,
+		arr:            r.arr[:0],
+		pulses:         r.pulses,
+		pulseRaw:       r.pulseRaw,
+	}
+}
+
+// errEmptyVector rejects a vector with no events: it would analyze nothing.
+var errEmptyVector = errors.New("sta: empty stimulus vector (no primary-input events)")
+
+// analyze runs one stimulus vector into a fresh result.
 func (p *Compiled) analyze(ctx context.Context, events []PIEvent, mode Mode, opt Options, pid int64) (*Result, error) {
 	wallStart := time.Now()
 	tr := opt.Trace
@@ -508,36 +564,40 @@ func (p *Compiled) analyze(ctx context.Context, events []PIEvent, mode Mode, opt
 		tr.NameProcess(pid, obs.VectorName(pid))
 		tr.NameThread(pid, 0, "schedule")
 	}
-	analyzeSpan := tr.Begin(pid, 0, "sta", "analyze").
-		Arg("mode", mode.String()).Arg("events", len(events))
-	if id := tr.ID(); id != "" {
-		// The request's W3C trace id on the top-level engine span: a trace
-		// artifact pulled out of the black box remains correlatable with the
-		// distributed trace it belongs to.
-		analyzeSpan = analyzeSpan.Arg("traceId", id)
+	analyzeSpan := tr.Begin(pid, 0, "sta", "analyze")
+	if tr.Enabled() {
+		// Boxing the args allocates, so only a recording trace pays for it.
+		analyzeSpan = analyzeSpan.Arg("mode", mode.String()).Arg("events", len(events))
+		if id := tr.ID(); id != "" {
+			// The request's W3C trace id on the top-level engine span: a
+			// trace artifact pulled out of the black box remains
+			// correlatable with the distributed trace it belongs to.
+			analyzeSpan = analyzeSpan.Arg("traceId", id)
+		}
 	}
 	defer analyzeSpan.End()
 
 	if len(events) == 0 {
-		return nil, fmt.Errorf("sta: empty stimulus vector (no primary-input events)")
+		return nil, errEmptyVector
 	}
-	res := &Result{
-		Mode:           mode,
-		handle:         p.id,
-		pulseFiltering: opt.PulseFiltering,
-		idx:            make([]int32, p.numNets),
-		arr:            make([]dirArrivals, 0, 2*len(events)),
-	}
-	s := p.scratch.Get().(*evalScratch)
-	defer p.scratch.Put(s)
-	seedStart := time.Now()
-	if err := p.seed(res, events, nil, s, ""); err != nil {
-		return nil, err
-	}
-	res.Stats.Phases.Add(obs.PhaseSeed, time.Since(seedStart))
-	if err := p.walk(ctx, res, nil, opt, s, pid); err != nil {
+	res := p.newResult(mode, opt.PulseFiltering, len(events))
+	if err := p.analyzeInto(ctx, res, events, opt, pid); err != nil {
 		return nil, err
 	}
 	res.Stats.Wall = time.Since(wallStart)
 	return res, nil
+}
+
+// analyzeInto runs a non-empty stimulus vector into res, an empty result of
+// this handle: a full analysis is the walk from an empty result, with every
+// event seeded as a change.
+func (p *Compiled) analyzeInto(ctx context.Context, res *Result, events []PIEvent, opt Options, pid int64) error {
+	s := p.scratch.Get().(*evalScratch)
+	defer p.scratch.Put(s)
+	seedStart := time.Now()
+	if err := p.seed(res, events, nil, s, ""); err != nil {
+		return err
+	}
+	res.Stats.Phases.Add(obs.PhaseSeed, time.Since(seedStart))
+	return p.walk(ctx, res, nil, opt, s, pid)
 }
