@@ -9,10 +9,10 @@ package sta
 // A time row compares one operation with a single feature toggled, run as
 // alternating pairs, so the host's speed cancels out of each pair's ratio.
 // Work the engine may not grow is counted instead of timed: gates run and
-// bytes allocated per tile-local vector and per single-PI delta. A time row
-// divided by a path that gets faster on its own (full ÷ partial, full ÷
-// delta) cannot tell that from a costlier divisor, so those ratios are
-// held only to their acceptance bars.
+// bytes allocated per tile-local vector, per MC sample and per single-PI
+// delta. A time row divided by a path that gets faster on its own (full ÷
+// partial, full ÷ delta) cannot tell that from a costlier divisor, so those
+// ratios are held only to their acceptance bars.
 //
 // A recorded row reads at most its record × margin. Its record is the
 // median of its first ten BENCH_RECORD=1 readings; later recordings keep
@@ -111,6 +111,17 @@ var benchRows = []benchRow{
 		margin: timeMargin, atMost: 1.5,
 		read: func(tb testing.TB, f *guardFixture) []float64 {
 			return pairs(tb, side{mcOp(f.p, f.local), 1, mcBenchSamples}, side{analyzeOp(f.p, f.local, plainOpt), 512, 1})
+		},
+	},
+	{
+		name: "mc_sample_bytes", what: "bytes allocated per sample of a serial 1,024-sample MC run on the tile-local vector (BenchmarkMC/amortized-1024)",
+		margin: bytesMargin,
+		read: func(tb testing.TB, f *guardFixture) []float64 {
+			// Four calls a pass: now and then a call finds the handle's
+			// scratch pool empty (after a collection, or on another P) and
+			// allocates a ~200 KB scratch, which on one call alone reads a
+			// quarter above the rest.
+			return []float64{side{mcOp(f.p, f.local), 4, mcBenchSamples}.bytes(tb)}
 		},
 	},
 	{
