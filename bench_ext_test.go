@@ -6,6 +6,7 @@ package prox
 // against composed transistor-level simulation).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,6 +62,10 @@ func BenchmarkExtCascadeSTA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	p, err := c.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
 	events := []sta.PIEvent{
 		{Net: a, Dir: waveform.Falling, Time: 0, TT: 400e-12},
 		{Net: bn, Dir: waveform.Falling, Time: 30e-12, TT: 250e-12},
@@ -85,11 +90,11 @@ func BenchmarkExtCascadeSTA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pr, err := c.Analyze(events, sta.Proximity)
+		pr, err := p.Analyze(context.Background(), events, sta.Proximity, sta.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cv, err := c.Analyze(events, sta.Conventional)
+		cv, err := p.Analyze(context.Background(), events, sta.Conventional, sta.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +106,7 @@ func BenchmarkExtCascadeSTA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Analyze(events, sta.Proximity); err != nil {
+		if _, err := p.Analyze(context.Background(), events, sta.Proximity, sta.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ package prox
 // cmd/repro).
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -490,47 +491,54 @@ func BenchmarkSTAAnalyze(b *testing.B) {
 		events[i] = sta.PIEvent{Net: in[i], Dir: waveform.Falling,
 			Time: float64(i) * 30e-12, TT: 300e-12}
 	}
+	p, err := c.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Analyze(events, sta.Proximity); err != nil {
+		if _, err := p.Analyze(context.Background(), events, sta.Proximity, sta.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// staBench lazily builds the shared ≥10k-gate synthetic netlist for the
-// scaling benchmarks (no transient simulation behind the library, so the
-// cost measured is purely the proximity STA engine).
+// staBench lazily builds and compiles the shared ≥10k-gate synthetic
+// netlist for the scaling benchmarks (no transient simulation behind the
+// library, so the cost measured is purely the proximity STA engine).
 var (
 	staBenchOnce sync.Once
-	staBenchC    *sta.Circuit
+	staBenchP    *sta.Compiled
 	staBenchEvs  []sta.PIEvent
 	staBenchErr  error
 )
 
-func getSTABench(b *testing.B) (*sta.Circuit, []sta.PIEvent) {
+func getSTABench(b *testing.B) (*sta.Compiled, []sta.PIEvent) {
 	b.Helper()
 	staBenchOnce.Do(func() {
-		staBenchC, staBenchErr = sta.SynthRandom(128, 12000, 11)
-		if staBenchErr == nil {
-			staBenchEvs = sta.SynthEvents(staBenchC, 5)
+		c, err := sta.SynthRandom(128, 12000, 11)
+		if err == nil {
+			staBenchP, err = c.Compile()
+		}
+		if staBenchErr = err; err == nil {
+			staBenchEvs = sta.SynthEvents(c, 5)
 		}
 	})
 	if staBenchErr != nil {
 		b.Fatal(staBenchErr)
 	}
-	return staBenchC, staBenchEvs
+	return staBenchP, staBenchEvs
 }
 
 // BenchmarkAnalyzeParallel measures the levelized parallel Analyze on a
 // 12k-gate synthetic netlist across worker counts; workers=1 is the serial
 // baseline the speedup is read against.
 func BenchmarkAnalyzeParallel(b *testing.B) {
-	c, evs := getSTABench(b)
+	p, evs := getSTABench(b)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: w}); err != nil {
+				if _, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -541,15 +549,15 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // BenchmarkAnalyzeBatch measures the heavy-traffic shape: N independent
 // stimulus vectors streamed through one shared levelization.
 func BenchmarkAnalyzeBatch(b *testing.B) {
-	c, _ := getSTABench(b)
+	p, _ := getSTABench(b)
 	batch := make([][]sta.PIEvent, 16)
 	for i := range batch {
-		batch[i] = sta.SynthEvents(c, int64(i))
+		batch[i] = sta.SynthEvents(p.Circuit(), int64(i))
 	}
 	for _, w := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{Workers: w}); err != nil {
+				if _, err := p.AnalyzeBatch(context.Background(), batch, sta.Proximity, sta.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cells"
@@ -79,6 +80,10 @@ func (r *rig) extCascade() error {
 	if err != nil {
 		return err
 	}
+	p, err := c.Compile()
+	if err != nil {
+		return err
+	}
 
 	fmt.Printf("Two-stage NAND cascade, inputs a,b falling in close proximity; golden =\n")
 	fmt.Printf("composed transistor-level simulation of the whole cascade.\n\n")
@@ -95,11 +100,11 @@ func (r *rig) extCascade() error {
 			{Net: a, Dir: waveform.Falling, Time: 0, TT: ttA},
 			{Net: b, Dir: waveform.Falling, Time: sep, TT: ttB},
 		}
-		proxRes, err := c.Analyze(events, sta.Proximity)
+		proxRes, err := p.Analyze(context.Background(), events, sta.Proximity, sta.Options{})
 		if err != nil {
 			return err
 		}
-		convRes, err := c.Analyze(events, sta.Conventional)
+		convRes, err := p.Analyze(context.Background(), events, sta.Conventional, sta.Options{})
 		if err != nil {
 			return err
 		}

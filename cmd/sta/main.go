@@ -43,6 +43,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -220,12 +221,7 @@ func run(netPath, eventSpec, charList, modelList, mode string, full bool, loadFF
 		if mc != nil {
 			return fmt.Errorf("-mc-samples analyzes a single stimulus vector (got %d)", len(batch))
 		}
-		return runBatch(c, batch, modes, opt, reqPS)
 	}
-	if mc != nil {
-		return runMC(c, batch[0], modes, opt, mc)
-	}
-	evs := batch[0]
 	var delta sta.Delta
 	if wantDelta {
 		if delta, err = parseDelta(c, deltaSet, deltaRemove); err != nil {
@@ -233,8 +229,24 @@ func run(netPath, eventSpec, charList, modelList, mode string, full bool, loadFF
 		}
 	}
 
+	// One compile serves every mode and vector of the run.
+	compileSpan := tr.Begin(0, 0, "sta", "compile").Arg("gates", len(c.Gates))
+	p, err := c.Compile()
+	if err != nil {
+		compileSpan.End()
+		return err
+	}
+	compileSpan.Arg("levels", p.NumLevels()).End()
+	if len(batch) > 1 {
+		return runBatch(p, batch, modes, opt, reqPS)
+	}
+	if mc != nil {
+		return runMC(p, batch[0], modes, opt, mc)
+	}
+	evs := batch[0]
+
 	for _, m := range modes {
-		res, err := c.AnalyzeOpts(evs, m, opt)
+		res, err := p.Analyze(context.Background(), evs, m, opt)
 		if err != nil {
 			return err
 		}
@@ -290,7 +302,7 @@ func run(netPath, eventSpec, charList, modelList, mode string, full bool, loadFF
 		printStats(res.Stats)
 
 		if wantDelta {
-			dres, err := c.AnalyzeDelta(res, delta, opt)
+			dres, err := p.AnalyzeDelta(context.Background(), res, delta, opt)
 			if err != nil {
 				return err
 			}
@@ -441,9 +453,10 @@ func printStats(s sta.Stats) {
 
 // runBatch analyzes several independent stimulus vectors against one shared
 // levelization and prints a compact per-vector summary.
-func runBatch(c *sta.Circuit, batch [][]sta.PIEvent, modes []sta.Mode, opt sta.Options, reqPS float64) error {
+func runBatch(p *sta.Compiled, batch [][]sta.PIEvent, modes []sta.Mode, opt sta.Options, reqPS float64) error {
+	c := p.Circuit()
 	for _, m := range modes {
-		results, err := c.AnalyzeBatch(batch, m, opt)
+		results, err := p.AnalyzeBatch(context.Background(), batch, m, opt)
 		if err != nil {
 			return err
 		}

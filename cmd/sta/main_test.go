@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,6 +32,16 @@ output y
 		t.Fatal(err)
 	}
 	return c
+}
+
+// compile levelizes a test circuit into its analysis handle.
+func compile(t *testing.T, c *sta.Circuit) *sta.Compiled {
+	t.Helper()
+	p, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestParseBatchSplitsVectors(t *testing.T) {
@@ -84,7 +95,7 @@ func TestParseBatchDuplicateEventsAcrossSegments(t *testing.T) {
 		t.Fatalf("got %d vectors, want 3", len(batch))
 	}
 	// And each vector still analyzes cleanly on its own.
-	if _, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{Workers: 1}); err != nil {
+	if _, err := compile(t, c).AnalyzeBatch(context.Background(), batch, sta.Proximity, sta.Options{Workers: 1}); err != nil {
 		t.Fatalf("batch with repeated PI events failed to analyze: %v", err)
 	}
 }
@@ -157,11 +168,13 @@ func TestParseDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.AnalyzeOpts(base, sta.Proximity, sta.Options{Workers: 1})
+	p := compile(t, c)
+	ctx := context.Background()
+	res, err := p.Analyze(ctx, base, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := c.AnalyzeDelta(res, delta, sta.Options{Workers: 1})
+	dres, err := p.AnalyzeDelta(ctx, res, delta, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +182,7 @@ func TestParseDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.AnalyzeOpts(edited, sta.Proximity, sta.Options{Workers: 1})
+	full, err := p.Analyze(ctx, edited, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +238,7 @@ func TestTraceFileIsValidChrome(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace()
-	if _, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 2, Trace: tr}); err != nil {
+	if _, err := compile(t, c).Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 2, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "trace.json")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -44,13 +45,13 @@ func parseMCSpec(samples int, seed uint64, sigma float64, cornerList string) (*m
 // runMC runs the Monte-Carlo analysis locally and prints per-output arrival
 // distributions, the histogram of the worst output, gate criticality and any
 // requested corners.
-func runMC(c *sta.Circuit, evs []sta.PIEvent, modes []sta.Mode, opt sta.Options, spec *mcSpec) error {
+func runMC(p *sta.Compiled, evs []sta.PIEvent, modes []sta.Mode, opt sta.Options, spec *mcSpec) error {
 	for _, m := range modes {
 		mcOpt := sta.MCOptions{
 			Samples: spec.samples, Seed: spec.seed, Sigma: spec.sigma, Corners: spec.corners,
 		}
 		mcOpt.Options = opt
-		res, err := c.AnalyzeMC(evs, m, mcOpt)
+		res, err := p.AnalyzeMC(context.Background(), evs, m, mcOpt)
 		if err != nil {
 			return err
 		}
@@ -110,7 +111,7 @@ func runMC(c *sta.Circuit, evs []sta.PIEvent, modes []sta.Mode, opt sta.Options,
 		}
 		for _, cr := range res.Corners {
 			fmt.Printf("\ncorner %s (x%.2f):", cr.Name, cr.Multiplier)
-			for _, po := range c.POs {
+			for _, po := range p.Circuit().POs {
 				if arr, ok := cr.Result.Latest(po); ok {
 					fmt.Printf(" %s=%v@%.1fps", po.Name, arr.Dir, arr.Time*1e12)
 				}

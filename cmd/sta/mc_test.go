@@ -41,12 +41,13 @@ func TestRunMCLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &mcSpec{samples: 16, seed: 3, sigma: 0.04, corners: []string{"slow", "typ", "fast"}}
-	if err := runMC(c, evs, []sta.Mode{sta.Proximity, sta.Conventional}, sta.Options{Workers: 1}, spec); err != nil {
+	p := compile(t, c)
+	if err := runMC(p, evs, []sta.Mode{sta.Proximity, sta.Conventional}, sta.Options{Workers: 1}, spec); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown corners surface as engine validation errors naming the value.
 	bad := &mcSpec{samples: 4, sigma: 0.04, corners: []string{"ss"}}
-	if err := runMC(c, evs, []sta.Mode{sta.Proximity}, sta.Options{Workers: 1}, bad); err == nil ||
+	if err := runMC(p, evs, []sta.Mode{sta.Proximity}, sta.Options{Workers: 1}, bad); err == nil ||
 		!strings.Contains(err.Error(), "corner") {
 		t.Fatalf("unknown corner: %v", err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,6 +65,10 @@ func main() {
 	t1i := must(c.AddGate("g5", "inv", "t1i", t1))           // invert
 	cout := must(c.AddGate("g6", "nand2", "cout", t1i, nbc)) // carry out
 	c.MarkOutput(cout)
+	p, err := c.Compile()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Stimulus: a, b, cin all rise within 60 ps of each other — exactly the
 	// temporal proximity regime.
@@ -74,7 +79,7 @@ func main() {
 	}
 
 	for _, mode := range []sta.Mode{sta.Conventional, sta.Proximity} {
-		res, err := c.Analyze(events, mode)
+		res, err := p.Analyze(context.Background(), events, mode, sta.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

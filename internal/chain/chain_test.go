@@ -1,6 +1,7 @@
 package chain_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -250,11 +251,15 @@ func TestCascadeSTAVsGolden(t *testing.T) {
 		{Net: a, Dir: waveform.Falling, Time: 0, TT: ttA},
 		{Net: b, Dir: waveform.Falling, Time: sep, TT: ttB},
 	}
-	proxRes, err := c.Analyze(events, sta.Proximity)
+	p, err := c.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	convRes, err := c.Analyze(events, sta.Conventional)
+	proxRes, err := p.Analyze(context.Background(), events, sta.Proximity, sta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	convRes, err := p.Analyze(context.Background(), events, sta.Conventional, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,97 +105,3 @@ func TestOracleDeltaVsFull(t *testing.T) {
 		t.Fatal("no baseline arrival was ever reused across the sweep — the bit-equal cutoff never fired, oracle vacuous")
 	}
 }
-
-// editCircuit applies a structural edit to a built config: a new primary
-// input joined into existing mid-circuit logic, with the result marked as an
-// output. Chains carry an inverter-only library, so the edit degrades to
-// inverter taps there; DAGs get a genuine multi-input join.
-func editCircuit(t *testing.T, cfg Config, c *sta.Circuit) {
-	t.Helper()
-	np := c.Input("xpi")
-	tap := c.Gates[len(c.Gates)/2].Out
-	var joined *sta.Net
-	var err error
-	if cfg.Chain {
-		a, err2 := c.AddGate("xg0", "inv", "xn0", np)
-		if err2 != nil {
-			t.Fatalf("%s: edit: %v", cfg.Name, err2)
-		}
-		_, err2 = c.AddGate("xg1", "inv", "xn1", tap)
-		if err2 != nil {
-			t.Fatalf("%s: edit: %v", cfg.Name, err2)
-		}
-		joined, err = c.AddGate("xg2", "inv", "xn2", a)
-	} else {
-		joined, err = c.AddGate("xg0", "nand2", "xn0", np, tap)
-	}
-	if err != nil {
-		t.Fatalf("%s: edit: %v", cfg.Name, err)
-	}
-	c.MarkOutput(joined)
-}
-
-// TestOracleIncrementalCompile: after a structural edit, the incrementally
-// recompiled handle must produce analyses and fanout cones bit-identical to
-// compiling an identically constructed circuit from scratch — re-levelizing
-// only downstream of the edit must never change the answer.
-func TestOracleIncrementalCompile(t *testing.T) {
-	for _, cfg := range Configs(nConfigs) {
-		c, evs := buildWithEvents(t, cfg, 0)
-		// Analyze once pre-edit so the old handle exists and carries its
-		// consumer table — the state the incremental path reuses.
-		if _, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1}); err != nil {
-			t.Fatalf("%s: pre-edit analyze: %v", cfg.Name, err)
-		}
-		editCircuit(t, cfg, c)
-
-		ref, err := cfg.Build()
-		if err != nil {
-			t.Fatalf("%s: rebuild: %v", cfg.Name, err)
-		}
-		editCircuit(t, cfg, ref)
-
-		// The edited stimulus covers every PI, the new one included.
-		events := sta.SynthEvents(c, cfg.Seed)
-		refEvents := make([]sta.PIEvent, len(events))
-		for i, ev := range events {
-			refEvents[i] = sta.PIEvent{Net: ref.Net(ev.Net.Name), Dir: ev.Dir, TT: ev.TT, Time: ev.Time}
-		}
-		incRes, err := c.AnalyzeOpts(events, cfg.Mode, sta.Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: incremental analyze: %v", cfg.Name, err)
-		}
-		refRes, err := ref.AnalyzeOpts(refEvents, cfg.Mode, sta.Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: from-scratch analyze: %v", cfg.Name, err)
-		}
-		if err := DiffExact(Arrivals(ref, refRes), Arrivals(c, incRes), nil); err != nil {
-			t.Errorf("%s: incremental recompile diverges from from-scratch: %v", cfg.Name, err)
-		}
-
-		// Cones must match index-for-index (both circuits list gates in the
-		// same construction order).
-		inc, err := c.Compile()
-		if err != nil {
-			t.Fatalf("%s: compile: %v", cfg.Name, err)
-		}
-		refC, err := ref.Compile()
-		if err != nil {
-			t.Fatalf("%s: ref compile: %v", cfg.Name, err)
-		}
-		for _, pi := range c.PIs {
-			incCone, ok1 := inc.Cone(pi)
-			refCone, ok2 := refC.Cone(ref.Net(pi.Name))
-			if ok1 != ok2 || len(incCone) != len(refCone) {
-				t.Fatalf("%s: PI %s cone shape: (%v,%d) incremental vs (%v,%d) from scratch",
-					cfg.Name, pi.Name, ok1, len(incCone), ok2, len(refCone))
-			}
-			for k := range refCone {
-				if incCone[k] != refCone[k] {
-					t.Fatalf("%s: PI %s cone[%d]: %d incremental vs %d from scratch",
-						cfg.Name, pi.Name, k, incCone[k], refCone[k])
-				}
-			}
-		}
-	}
-}

@@ -22,6 +22,7 @@ package difftest
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -250,6 +251,7 @@ func filterName(on bool) string {
 //   - http: status and body of stad's answers (computeHTTPDigests).
 func computeDigests(t *testing.T) []digestEntry {
 	t.Helper()
+	ctx := context.Background()
 	var out []digestEntry
 	for ci, cfg := range Configs(nConfigs) {
 		c, err := cfg.Build()
@@ -264,12 +266,13 @@ func computeDigests(t *testing.T) []digestEntry {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
+		p := compile(t, c)
 		fam := family(cfg)
 		for _, mode := range []sta.Mode{sta.Proximity, sta.Conventional} {
 			for _, filt := range []bool{false, true} {
 				d := newDigester()
 				for _, evs := range [][]sta.PIEvent{full, partial} {
-					res, err := c.AnalyzeOpts(evs, mode, sta.Options{Workers: 1, PulseFiltering: filt})
+					res, err := p.Analyze(ctx, evs, mode, sta.Options{Workers: 1, PulseFiltering: filt})
 					if err != nil {
 						t.Fatalf("%s %v %s: %v", cfg.Name, mode, filterName(filt), err)
 					}
@@ -283,7 +286,7 @@ func computeDigests(t *testing.T) []digestEntry {
 		}
 		if ci%6 == 0 {
 			for _, filt := range []bool{false, true} {
-				res, err := c.AnalyzeMC(full, cfg.Mode, sta.MCOptions{
+				res, err := p.AnalyzeMC(ctx, full, cfg.Mode, sta.MCOptions{
 					Samples: 16, Seed: uint64(cfg.Seed), Sigma: 0.05,
 					Corners: []string{"slow", "fast"},
 					Options: sta.Options{Workers: 2, PulseFiltering: filt},
@@ -304,7 +307,7 @@ func computeDigests(t *testing.T) []digestEntry {
 		}
 		if ci%4 == 0 {
 			for _, filt := range []bool{false, true} {
-				res, err := c.AnalyzeOpts(full, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: filt})
+				res, err := p.Analyze(ctx, full, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: filt})
 				if err != nil {
 					t.Fatalf("%s explain %s: %v", cfg.Name, filterName(filt), err)
 				}

@@ -126,16 +126,18 @@ func TestOracleGlitchDeltaVsFull(t *testing.T) {
 // (absorbed outputs report none), and a unanimous glitch-criticality vote —
 // every judged gate voted in the one sample, probability exactly 1.
 func TestOracleGlitchMCSigmaZero(t *testing.T) {
+	ctx := context.Background()
 	judged, votes := 0, 0
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		ref, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: true})
+		p := compile(t, c)
+		ref, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: true})
 		if err != nil {
 			t.Fatalf("%s: analyze: %v", cfg.Name, err)
 		}
 		mcOpt := sta.MCOptions{Samples: 1, Seed: 17, Sigma: 0}
 		mcOpt.PulseFiltering = true
-		res, err := c.AnalyzeMC(evs, cfg.Mode, mcOpt)
+		res, err := p.AnalyzeMC(ctx, evs, cfg.Mode, mcOpt)
 		if err != nil {
 			t.Fatalf("%s: mc: %v", cfg.Name, err)
 		}
@@ -190,18 +192,20 @@ func TestOracleGlitchMCSigmaZero(t *testing.T) {
 // count — the votes are atomic per-gate counters, so scheduling must never
 // leak into the tallies.
 func TestOracleGlitchMCVoteStability(t *testing.T) {
+	ctx := context.Background()
 	entries := 0
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
 		mcOpt := sta.MCOptions{Samples: 8, Seed: 23, Sigma: 0.05}
 		mcOpt.PulseFiltering = true
 		mcOpt.Workers = 1
-		ref, err := c.AnalyzeMC(evs, cfg.Mode, mcOpt)
+		p := compile(t, c)
+		ref, err := p.AnalyzeMC(ctx, evs, cfg.Mode, mcOpt)
 		if err != nil {
 			t.Fatalf("%s: mc workers=1: %v", cfg.Name, err)
 		}
 		mcOpt.Workers = 6
-		got, err := c.AnalyzeMC(evs, cfg.Mode, mcOpt)
+		got, err := p.AnalyzeMC(ctx, evs, cfg.Mode, mcOpt)
 		if err != nil {
 			t.Fatalf("%s: mc workers=6: %v", cfg.Name, err)
 		}

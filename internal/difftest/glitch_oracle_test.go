@@ -20,6 +20,7 @@ package difftest
 // ground truth the Section-6 tables abstract.
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -41,14 +42,16 @@ import (
 // must never read glitch data, and the on path must degrade to a no-op
 // without it.
 func TestOracleGlitchDisabledIdentity(t *testing.T) {
+	ctx := context.Background()
 	filtered, degraded := 0, 0
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		off, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		p := compile(t, c)
+		off, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: off: %v", cfg.Name, err)
 		}
-		on, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: true})
+		on, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: true})
 		if err != nil {
 			t.Fatalf("%s: on: %v", cfg.Name, err)
 		}
@@ -60,14 +63,14 @@ func TestOracleGlitchDisabledIdentity(t *testing.T) {
 		for _, g := range c.Gates {
 			g.Calc.Model.Glitches = nil
 		}
-		offBare, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		offBare, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: off stripped: %v", cfg.Name, err)
 		}
 		if err := DiffExact(Arrivals(c, off), Arrivals(c, offBare), nil); err != nil {
 			t.Errorf("%s: filtering-off run read glitch models: %v", cfg.Name, err)
 		}
-		onBare, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: true})
+		onBare, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1, PulseFiltering: true})
 		if err != nil {
 			t.Fatalf("%s: on stripped: %v", cfg.Name, err)
 		}
@@ -90,6 +93,7 @@ func TestOracleGlitchDisabledIdentity(t *testing.T) {
 // parallel walks must produce bit-identical arrivals and equal verdict
 // counters on every config, and both must match the dense reference walk.
 func TestOracleGlitchScheduleIdentity(t *testing.T) {
+	ctx := context.Background()
 	judged := 0
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
@@ -97,8 +101,9 @@ func TestOracleGlitchScheduleIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", cfg.Name, err)
 		}
+		p := compile(t, c)
 		for _, workers := range []int{1, 8} {
-			got, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: workers, PulseFiltering: true})
+			got, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: workers, PulseFiltering: true})
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", cfg.Name, workers, err)
 			}
@@ -240,6 +245,7 @@ func spiceSaysFilter(t *testing.T, sim *macromodel.GateSim, gm *macromodel.Glitc
 // decisive point — with at least one pulse absorbed and one propagated, so
 // both verdict classes are exercised against ground truth.
 func TestOracleGlitchSpiceVerdicts(t *testing.T) {
+	ctx := context.Background()
 	r := spiceRig(t)
 	const tt = 300e-12
 	minSep, ok := r.gm.MinSeparation(tt, tt, r.th)
@@ -259,6 +265,7 @@ func TestOracleGlitchSpiceVerdicts(t *testing.T) {
 	}
 	c.MarkOutput(y)
 
+	p := compile(t, c)
 	sawFilter, sawPropagate := 0, 0
 	for _, off := range []float64{-250e-12, -120e-12, -40e-12, 40e-12, 150e-12, 400e-12} {
 		sep := minSep + off
@@ -271,7 +278,7 @@ func TestOracleGlitchSpiceVerdicts(t *testing.T) {
 			{Net: b, Dir: waveform.Rising, TT: tt, Time: 0},
 			{Net: a, Dir: waveform.Falling, TT: tt, Time: sep},
 		}
-		res, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1, PulseFiltering: true})
+		res, err := p.Analyze(ctx, evs, sta.Proximity, sta.Options{Workers: 1, PulseFiltering: true})
 		if err != nil {
 			t.Fatalf("sep %g: analyze: %v", sep, err)
 		}
@@ -319,6 +326,7 @@ func TestOracleGlitchSpiceVerdicts(t *testing.T) {
 // spice simulation at every decisive point — the polarity the
 // NAND-oriented bisection used to absorb at every separation.
 func TestOracleGlitchSpiceVerdictsNor(t *testing.T) {
+	ctx := context.Background()
 	r := spiceRig(t)
 	const tt = 300e-12
 	if r.norGM.NegativeGoing {
@@ -341,6 +349,7 @@ func TestOracleGlitchSpiceVerdictsNor(t *testing.T) {
 	}
 	c.MarkOutput(y)
 
+	p := compile(t, c)
 	sawFilter, sawPropagate := 0, 0
 	for _, off := range []float64{-250e-12, -120e-12, -40e-12, 40e-12, 150e-12, 400e-12} {
 		width := minW + off
@@ -355,7 +364,7 @@ func TestOracleGlitchSpiceVerdictsNor(t *testing.T) {
 			{Net: a, Dir: waveform.Falling, TT: tt, Time: 0},
 			{Net: b, Dir: waveform.Rising, TT: tt, Time: width},
 		}
-		res, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1, PulseFiltering: true})
+		res, err := p.Analyze(ctx, evs, sta.Proximity, sta.Options{Workers: 1, PulseFiltering: true})
 		if err != nil {
 			t.Fatalf("width %g: analyze: %v", width, err)
 		}
@@ -406,6 +415,7 @@ func TestOracleGlitchSpiceVerdictsNor(t *testing.T) {
 // inverter's delay — whatever the engine judges there must match direct
 // simulation of the pair it actually committed.
 func TestOracleGlitchSpiceReconvergent(t *testing.T) {
+	ctx := context.Background()
 	r := spiceRig(t)
 	c := sta.NewCircuit(r.lib)
 	a := c.Input("a")
@@ -419,10 +429,11 @@ func TestOracleGlitchSpiceReconvergent(t *testing.T) {
 	}
 	c.MarkOutput(x)
 
+	p := compile(t, c)
 	judged := 0
 	for _, tt := range []float64{200e-12, 400e-12} {
 		evs := []sta.PIEvent{{Net: a, Dir: waveform.Rising, TT: tt, Time: 0}}
-		off, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1})
+		off, err := p.Analyze(ctx, evs, sta.Proximity, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("tt %g: off: %v", tt, err)
 		}
@@ -430,7 +441,7 @@ func TestOracleGlitchSpiceReconvergent(t *testing.T) {
 		if !okF {
 			t.Fatalf("tt %g: inverted path produced no falling arrival", tt)
 		}
-		on, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1, PulseFiltering: true})
+		on, err := p.Analyze(ctx, evs, sta.Proximity, sta.Options{Workers: 1, PulseFiltering: true})
 		if err != nil {
 			t.Fatalf("tt %g: on: %v", tt, err)
 		}

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -123,6 +124,7 @@ func checkWireAgainstEngine(t *testing.T, label string, c *sta.Circuit, res *sta
 // compared too) and /v1/analyze:batch, and require bit-identity with the
 // in-process engine over the same registry-loaded models.
 func TestOracleHTTPVsInProcess(t *testing.T) {
+	ctx := context.Background()
 	rig := newHTTPRig(t, service.Config{}, nil)
 	for _, cfg := range Configs(nConfigs) {
 		c, err := cfg.Build()
@@ -154,7 +156,8 @@ func TestOracleHTTPVsInProcess(t *testing.T) {
 		}, &resp); code != 200 {
 			t.Fatalf("%s: analyze status %d", cfg.Name, code)
 		}
-		res, err := ref.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		refP := compile(t, ref)
+		res, err := refP.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: in-process: %v", cfg.Name, err)
 		}
@@ -180,7 +183,7 @@ func TestOracleHTTPVsInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: batch events %d: %v", cfg.Name, k, err)
 			}
-			kres, err := ref.AnalyzeOpts(kevs, cfg.Mode, sta.Options{Workers: 1})
+			kres, err := refP.Analyze(ctx, kevs, cfg.Mode, sta.Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s: in-process %d: %v", cfg.Name, k, err)
 			}

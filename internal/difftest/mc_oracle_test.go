@@ -14,6 +14,7 @@ package difftest
 //     criticality votes at every worker count.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sta"
@@ -25,14 +26,16 @@ import (
 // primary-output arrival of the deterministic run must appear as a
 // zero-width distribution at exactly the deterministic crossing time.
 func TestOracleMCSigmaZero(t *testing.T) {
+	ctx := context.Background()
 	distsCompared, critEntries := 0, 0
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		ref, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		p := compile(t, c)
+		ref, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: analyze: %v", cfg.Name, err)
 		}
-		res, err := c.AnalyzeMC(evs, cfg.Mode, sta.MCOptions{Samples: 1, Seed: 17, Sigma: 0})
+		res, err := p.AnalyzeMC(ctx, evs, cfg.Mode, sta.MCOptions{Samples: 1, Seed: 17, Sigma: 0})
 		if err != nil {
 			t.Fatalf("%s: mc: %v", cfg.Name, err)
 		}
@@ -87,17 +90,19 @@ func TestOracleMCSigmaZero(t *testing.T) {
 // aggregates and criticality regardless of the worker count. Run with -race
 // in CI, this also proves the parallel sample loop is clean.
 func TestOracleMCSeedStability(t *testing.T) {
+	ctx := context.Background()
 	spread := 0
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
 		opt := sta.MCOptions{Samples: 8, Seed: 23, Sigma: 0.03}
 		opt.Workers = 1
-		ref, err := c.AnalyzeMC(evs, cfg.Mode, opt)
+		p := compile(t, c)
+		ref, err := p.AnalyzeMC(ctx, evs, cfg.Mode, opt)
 		if err != nil {
 			t.Fatalf("%s: mc workers=1: %v", cfg.Name, err)
 		}
 		opt.Workers = 5
-		got, err := c.AnalyzeMC(evs, cfg.Mode, opt)
+		got, err := p.AnalyzeMC(ctx, evs, cfg.Mode, opt)
 		if err != nil {
 			t.Fatalf("%s: mc workers=5: %v", cfg.Name, err)
 		}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,17 +17,19 @@ import (
 // orders below any physical delay in the model, while a genuine
 // equivariance bug shows up at picoseconds.
 func TestTimeShiftEquivariance(t *testing.T) {
+	ctx := context.Background()
 	const tol = 1e-19 // seconds
 	shifts := []float64{1e-9, -3.7e-11, 2.5e-10}
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		base, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		p := compile(t, c)
+		base, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: base: %v", cfg.Name, err)
 		}
 		baseArr := Arrivals(c, base)
 		for _, dt := range shifts {
-			shifted, err := c.AnalyzeOpts(ShiftEvents(evs, dt), cfg.Mode, sta.Options{Workers: 1})
+			shifted, err := p.Analyze(ctx, ShiftEvents(evs, dt), cfg.Mode, sta.Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s: shift %g: %v", cfg.Name, dt, err)
 			}
@@ -60,16 +63,18 @@ func TestTimeShiftEquivariance(t *testing.T) {
 // TestWorkerCountInvariance: the worker budget is a schedule, not a model
 // parameter — every worker count must produce the bit-identical result.
 func TestWorkerCountInvariance(t *testing.T) {
+	ctx := context.Background()
 	counts := []int{2, 3, 5, 16}
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		ref, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		p := compile(t, c)
+		ref, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: serial: %v", cfg.Name, err)
 		}
 		refArr := Arrivals(c, ref)
 		for _, w := range counts {
-			res, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: w})
+			res, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: w})
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", cfg.Name, w, err)
 			}
@@ -84,6 +89,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // through a permutation is pure labeling — arrivals must be bit-identical
 // per mapped net.
 func TestNetRelabelingConsistency(t *testing.T) {
+	ctx := context.Background()
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
 		text, mapping := RenameNets(c, cfg.Seed+7)
@@ -95,11 +101,13 @@ func TestNetRelabelingConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		base, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		p := compile(t, c)
+		base, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: base: %v", cfg.Name, err)
 		}
-		res, err := renamed.AnalyzeOpts(revs, cfg.Mode, sta.Options{Workers: 1})
+		renamedP := compile(t, renamed)
+		res, err := renamedP.Analyze(ctx, revs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: renamed: %v", cfg.Name, err)
 		}
@@ -112,15 +120,17 @@ func TestNetRelabelingConsistency(t *testing.T) {
 // TestEventOrderIndependence: dominance ordering happens inside the
 // calculator; the order events are listed in must not matter.
 func TestEventOrderIndependence(t *testing.T) {
+	ctx := context.Background()
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		ref, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		p := compile(t, c)
+		ref, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: base: %v", cfg.Name, err)
 		}
 		refArr := Arrivals(c, ref)
 		for _, seed := range []int64{1, 2, 3} {
-			res, err := c.AnalyzeOpts(ShuffleEvents(evs, seed), cfg.Mode, sta.Options{Workers: 1})
+			res, err := p.Analyze(ctx, ShuffleEvents(evs, seed), cfg.Mode, sta.Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s: shuffled %d: %v", cfg.Name, seed, err)
 			}

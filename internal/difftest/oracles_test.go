@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -29,19 +30,31 @@ func buildWithEvents(t *testing.T, cfg Config, k int) (*sta.Circuit, []sta.PIEve
 	return c, evs
 }
 
+// compile levelizes a circuit into its analysis handle.
+func compile(t *testing.T, c *sta.Circuit) *sta.Compiled {
+	t.Helper()
+	p, err := c.Compile()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return p
+}
+
 // TestOracleParallelVsSerial: the levelized parallel schedule must be
 // bit-identical to the serial reference on every config — the schedule
 // changes, the arithmetic must not.
 func TestOracleParallelVsSerial(t *testing.T) {
+	ctx := context.Background()
 	proxEvals := 0
 	compared := 0
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		serial, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		p := compile(t, c)
+		serial, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: serial: %v", cfg.Name, err)
 		}
-		parallel, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 8})
+		parallel, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 8})
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", cfg.Name, err)
 		}
@@ -62,6 +75,7 @@ func TestOracleParallelVsSerial(t *testing.T) {
 // TestOracleBatchVsPerVector: AnalyzeBatch over N vectors must reproduce N
 // independent Analyze calls exactly, for every vector index.
 func TestOracleBatchVsPerVector(t *testing.T) {
+	ctx := context.Background()
 	const vectorsPerConfig = 4
 	for _, cfg := range Configs(nConfigs) {
 		c, err := cfg.Build()
@@ -74,12 +88,13 @@ func TestOracleBatchVsPerVector(t *testing.T) {
 				t.Fatalf("%s: vector %d: %v", cfg.Name, k, err)
 			}
 		}
-		results, err := c.AnalyzeBatch(batch, cfg.Mode, sta.Options{Workers: 4})
+		p := compile(t, c)
+		results, err := p.AnalyzeBatch(ctx, batch, cfg.Mode, sta.Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: batch: %v", cfg.Name, err)
 		}
 		for k, res := range results {
-			single, err := c.AnalyzeOpts(batch[k], cfg.Mode, sta.Options{Workers: 1})
+			single, err := p.Analyze(ctx, batch[k], cfg.Mode, sta.Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s: single %d: %v", cfg.Name, k, err)
 			}
@@ -120,12 +135,14 @@ func refVectors(t *testing.T, cfg Config, c *sta.Circuit) []struct {
 // strictly fewer gates than the netlists hold in aggregate, and filtering
 // must judge pulses somewhere.
 func TestOracleSparseVsDense(t *testing.T) {
+	ctx := context.Background()
 	var ranPartial, gatesPartial, judged int
 	for _, cfg := range Configs(nConfigs) {
 		c, err := cfg.Build()
 		if err != nil {
 			t.Fatalf("%s: build: %v", cfg.Name, err)
 		}
+		p := compile(t, c)
 		for _, vec := range refVectors(t, cfg, c) {
 			for _, filter := range []bool{false, true} {
 				ref, err := runDenseRef(c, vec.events, cfg.Mode, filter)
@@ -134,7 +151,7 @@ func TestOracleSparseVsDense(t *testing.T) {
 				}
 				for _, workers := range []int{1, 8} {
 					label := fmt.Sprintf("%s/%s/filter=%v/workers=%d", cfg.Name, vec.label, filter, workers)
-					res, err := c.AnalyzeOpts(vec.events, cfg.Mode, sta.Options{Workers: workers, PulseFiltering: filter})
+					res, err := p.Analyze(ctx, vec.events, cfg.Mode, sta.Options{Workers: workers, PulseFiltering: filter})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -163,6 +180,7 @@ func TestOracleSparseVsDense(t *testing.T) {
 // fanout at all must succeed with an empty walk — the stimulated PIs' own
 // arrivals and nothing else, exactly as the dense reference reports.
 func TestOracleZeroConeStimulus(t *testing.T) {
+	ctx := context.Background()
 	c, _, out, err := sta.SynthChain(8)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +191,9 @@ func TestOracleZeroConeStimulus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := compile(t, c)
 	for _, workers := range []int{1, 8} {
-		res, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: workers})
+		res, err := p.Analyze(ctx, evs, sta.Proximity, sta.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: zero-cone stimulus errored: %v", workers, err)
 		}
@@ -210,6 +229,7 @@ func cubicLibrary() *sta.Library {
 // beyond interpolation error means one backend reads the tables wrong. The
 // cubic path must also actually differ somewhere, or the toggle is dead.
 func TestOracleTableVsCubic(t *testing.T) {
+	ctx := context.Background()
 	// Measured over this sweep: arrival times differ by at most ~3.5%
 	// between the two reconstructions, TTs by up to ~33% (window membership
 	// is discrete — a borderline shift adds or drops one multiplicative TT
@@ -231,11 +251,13 @@ func TestOracleTableVsCubic(t *testing.T) {
 		for i, ev := range evs {
 			cubicEvs[i] = sta.PIEvent{Net: cc.Net(ev.Net.Name), Dir: ev.Dir, TT: ev.TT, Time: ev.Time}
 		}
-		linRes, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1})
+		p := compile(t, c)
+		linRes, err := p.Analyze(ctx, evs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: linear: %v", cfg.Name, err)
 		}
-		cubRes, err := cc.AnalyzeOpts(cubicEvs, cfg.Mode, sta.Options{Workers: 1})
+		cp := compile(t, cc)
+		cubRes, err := cp.Analyze(ctx, cubicEvs, cfg.Mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: cubic: %v", cfg.Name, err)
 		}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/obs"
@@ -16,6 +17,7 @@ import (
 // internally consistent (non-negative, disjoint sum bounded by the measured
 // wall) on every config too.
 func TestOracleStatsSparseVsDense(t *testing.T) {
+	ctx := context.Background()
 	checkPhases := func(label string, s sta.Stats) {
 		t.Helper()
 		for _, p := range obs.Phases() {
@@ -39,6 +41,7 @@ func TestOracleStatsSparseVsDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: levels: %v", cfg.Name, err)
 		}
+		p := compile(t, c)
 		for _, vec := range refVectors(t, cfg, c) {
 			for _, filter := range []bool{false, true} {
 				label := cfg.Name + "/" + vec.label
@@ -49,7 +52,7 @@ func TestOracleStatsSparseVsDense(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", label, err)
 				}
-				res, err := c.AnalyzeOpts(vec.events, cfg.Mode, sta.Options{Workers: 2, PulseFiltering: filter})
+				res, err := p.Analyze(ctx, vec.events, cfg.Mode, sta.Options{Workers: 2, PulseFiltering: filter})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

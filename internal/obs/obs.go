@@ -26,18 +26,11 @@ import (
 type Phase int
 
 const (
-	// PhaseCompile covers the Compile() call an analyze entry point makes:
-	// ~zero when the memoized handle is reused, the full levelization cost
-	// when the circuit changed.
-	PhaseCompile Phase = iota
-	// PhaseLevelize is the topological-sort portion inside a cold compile
-	// (a sub-interval of PhaseCompile; excluded from Sum totals).
-	PhaseLevelize
 	// PhaseCones is time spent waiting for the compiled handle's
 	// net -> consuming-gate table, the one the propagation walk fans out
 	// over (paid by the first walk on a handle, ~zero afterwards). It keeps
 	// the name "cones" that phase histograms and traces already report.
-	PhaseCones
+	PhaseCones Phase = iota
 	// PhaseSchedule is the walk's queueing: bucketing the consumers of the
 	// seeded nets by level, then sorting each level's bucket into netlist
 	// order. Queueing the fanout of committed outputs happens inside the
@@ -76,7 +69,7 @@ const (
 )
 
 var phaseNames = [NumPhases]string{
-	"compile", "levelize", "cones", "schedule", "seed", "eval", "commit", "glitch", "delta", "mc",
+	"cones", "schedule", "seed", "eval", "commit", "glitch", "delta", "mc",
 }
 
 func (p Phase) String() string {
@@ -109,15 +102,11 @@ func (pt *PhaseTimes) Add(p Phase, d time.Duration) {
 	pt[p] += d
 }
 
-// Sum returns the total of the top-level phases. PhaseLevelize is excluded:
-// it is a sub-interval of PhaseCompile and would double-count.
+// Sum returns the total of all phases.
 func (pt PhaseTimes) Sum() time.Duration {
 	var s time.Duration
-	for p := Phase(0); p < NumPhases; p++ {
-		if p == PhaseLevelize {
-			continue
-		}
-		s += pt[p]
+	for _, d := range pt {
+		s += d
 	}
 	return s
 }

@@ -112,9 +112,8 @@ func TestPhaseTimes(t *testing.T) {
 	var pt PhaseTimes
 	pt.Add(PhaseEval, 5*time.Millisecond)
 	pt.Add(PhaseEval, 3*time.Millisecond)
-	pt.Add(PhaseCompile, 2*time.Millisecond)
-	pt.Add(PhaseLevelize, time.Millisecond) // sub-interval of compile
-	pt.Add(PhaseSeed, -time.Second)         // clamped
+	pt.Add(PhaseCones, 2*time.Millisecond)
+	pt.Add(PhaseSeed, -time.Second) // clamped
 	if pt[PhaseEval] != 8*time.Millisecond {
 		t.Fatalf("eval = %v", pt[PhaseEval])
 	}
@@ -122,7 +121,7 @@ func TestPhaseTimes(t *testing.T) {
 		t.Fatalf("negative add not clamped: %v", pt[PhaseSeed])
 	}
 	if got := pt.Sum(); got != 10*time.Millisecond {
-		t.Fatalf("Sum = %v, want 10ms (levelize excluded)", got)
+		t.Fatalf("Sum = %v, want 10ms", got)
 	}
 	for _, p := range Phases() {
 		if p.String() == "" {

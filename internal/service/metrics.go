@@ -91,8 +91,8 @@ var histBounds = []time.Duration{
 }
 
 // phaseBounds bucket engine-phase durations, which sit two to three orders
-// of magnitude below request latencies: a memoized analyze spends single
-// microseconds scheduling and tens of microseconds evaluating.
+// of magnitude below request latencies: an analyze on a compiled handle
+// spends single microseconds scheduling and tens of microseconds evaluating.
 var phaseBounds = []time.Duration{
 	1 * time.Microsecond,
 	2 * time.Microsecond,
@@ -335,8 +335,8 @@ func (m *Metrics) observe(endpoint string, status int, d time.Duration) {
 // workload totals. A Monte-Carlo run (mcSamples > 0) counts as one run of
 // that many samples, anything else as one vector. Only the phases the
 // analysis spent time in are recorded: a phase a call never ran — glitch
-// without pulse filtering, compile on a memoized handle, the consumer-table
-// build after the first walk, mc outside Monte-Carlo — reads zero, and
+// without pulse filtering, the consumer-table build after the first walk,
+// delta outside a delta, mc outside Monte-Carlo — reads zero, and
 // recording those zeroes would flood its histogram until the percentiles
 // read 0.
 func (m *Metrics) addAnalysis(st *sta.Stats, mcSamples int) {

@@ -219,9 +219,7 @@ func TestMetricsJSONPhases(t *testing.T) {
 	if doc["heapAllocBytes"].(float64) <= 0 {
 		t.Fatalf("heapAllocBytes gauge = %v", doc["heapAllocBytes"])
 	}
-	// The always-on phases all saw this analysis; the memoized compile did
-	// too (first analyze on a fresh upload pays nothing — compile happened
-	// at upload — so it may legitimately be empty).
+	// The always-on phases all saw this analysis.
 	for _, p := range []obs.Phase{obs.PhaseSchedule, obs.PhaseSeed, obs.PhaseEval, obs.PhaseCommit} {
 		if _, total, _ := s.Metrics().Phase(p).snapshot(); total < 1 {
 			t.Fatalf("phase %v histogram empty after an analyze", p)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -102,7 +103,11 @@ func refResults(t *testing.T, reg *Registry, batch [][]Event, mode sta.Mode) (*s
 			t.Fatal(err)
 		}
 	}
-	results, err := c.AnalyzeBatch(evs, mode, sta.Options{Workers: 1})
+	p, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := p.AnalyzeBatch(context.Background(), evs, mode, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -56,9 +57,10 @@ func BenchmarkAdderAnalyze16(b *testing.B) {
 			sta.PIEvent{Net: c.Net(fmt.Sprintf("b%d", i)), Dir: waveform.Rising, Time: float64(i) * 25e-12, TT: 200e-12},
 		)
 	}
+	p := compile(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Analyze(events, sta.Proximity); err != nil {
+		if _, err := p.Analyze(context.Background(), events, sta.Proximity, sta.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,8 +88,9 @@ func TestRippleAdderTiming(t *testing.T) {
 			sta.PIEvent{Net: c.Net(fmt.Sprintf("b%d", i)), Dir: waveform.Rising, Time: float64(i) * 25e-12, TT: 200e-12},
 		)
 	}
+	p := compile(t, c)
 	for _, mode := range []sta.Mode{sta.Conventional, sta.Proximity} {
-		res, err := c.Analyze(events, mode)
+		res, err := p.Analyze(context.Background(), events, mode, sta.Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

@@ -86,8 +86,8 @@ func newGuardFixture(tb testing.TB) *guardFixture {
 		delta:       newDeltaQuery(tb, p, full, plainOpt),
 		glitchDelta: newDeltaQuery(tb, p, runt, filterOpt),
 		runtDelta:   newDeltaQuery(tb, p, runt, plainOpt),
-		partial:     side{batchOp(c, tiledBatch(c, partialVectors)), 32, partialVectors},
-		fullVector:  side{batchOp(c, fullBatch(c, fullVectors)), 2, fullVectors},
+		partial:     side{batchOp(p, tiledBatch(c, partialVectors)), 32, partialVectors},
+		fullVector:  side{batchOp(p, fullBatch(c, fullVectors)), 2, fullVectors},
 	}
 }
 
@@ -156,7 +156,7 @@ var benchRows = []benchRow{
 		name: "partial_gates_scheduled", what: "gates the walk runs per tile-local vector",
 		margin: workMargin,
 		read: func(tb testing.TB, f *guardFixture) []float64 {
-			res, err := f.c.AnalyzeBatch(tiledBatch(f.c, partialVectors), Proximity, plainOpt)
+			res, err := f.p.AnalyzeBatch(context.Background(), tiledBatch(f.c, partialVectors), Proximity, plainOpt)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -4,8 +4,7 @@ package sta
 // 50 gates over 8 PIs each) and the operations that the benchmarks below
 // and TestBenchGuard's rows time on it. A benchmark and a row that name the
 // same operation run the same closure. This file lives in package sta (not
-// sta_test) because the naive Monte-Carlo loop needs compileFull to defeat
-// the circuit-level compile memoization.
+// sta_test) so the package's internal allocation tests share the fixture.
 
 import (
 	"context"
@@ -85,7 +84,7 @@ func fullBatch(c *Circuit, n int) [][]PIEvent {
 	return batch
 }
 
-// compileBench compiles the tiled netlist (memoized by the circuit).
+// compileBench compiles the tiled netlist, outside any timed loop.
 func compileBench(tb testing.TB, c *Circuit) *Compiled {
 	tb.Helper()
 	p, err := c.Compile()
@@ -115,10 +114,10 @@ func analyzeOp(p *Compiled, evs []PIEvent, opt Options) op {
 	}
 }
 
-// batchOp analyzes a batch serially through the circuit-level entry point.
-func batchOp(c *Circuit, batch [][]PIEvent) op {
+// batchOp analyzes a batch serially on the compiled netlist.
+func batchOp(p *Compiled, batch [][]PIEvent) op {
 	return func(int) error {
-		_, err := c.AnalyzeBatch(batch, Proximity, Options{Workers: 1})
+		_, err := p.AnalyzeBatch(context.Background(), batch, Proximity, Options{Workers: 1})
 		return err
 	}
 }
@@ -138,7 +137,7 @@ func mcOp(p *Compiled, evs []PIEvent) op {
 // amortizes away.
 func freshCompileOp(c *Circuit, evs []PIEvent) op {
 	return func(int) error {
-		p, err := c.compileFull(nil)
+		p, err := c.Compile()
 		if err != nil {
 			return err
 		}
@@ -207,6 +206,7 @@ var (
 // (partial) batch and an all-PI (full) batch.
 func BenchmarkSparseBatch(b *testing.B) {
 	c, _ := getMCBench(b)
+	p := compileBench(b, c)
 	for _, stim := range []struct {
 		name  string
 		batch [][]PIEvent
@@ -215,7 +215,7 @@ func BenchmarkSparseBatch(b *testing.B) {
 		{"full", fullBatch(c, 4)},
 	} {
 		b.Run("stimulus="+stim.name, func(b *testing.B) {
-			batchOp(c, stim.batch).run(b)
+			batchOp(p, stim.batch).run(b)
 			b.ReportMetric(float64(len(stim.batch))*float64(b.N)/b.Elapsed().Seconds(), "vectors/s")
 		})
 	}
@@ -271,7 +271,7 @@ func BenchmarkPulseFilter(b *testing.B) {
 // pairs' fanout is skipped (fewer gates run than the netlist holds).
 func TestWalkStopsAtAbsorbedPulses(t *testing.T) {
 	c, evs := getGlitchBench(t)
-	res, err := c.AnalyzeOpts(evs, Proximity, filterOpt)
+	res, err := compileBench(t, c).Analyze(context.Background(), evs, Proximity, filterOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

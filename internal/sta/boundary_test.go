@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -36,6 +37,7 @@ func ev(c *sta.Circuit, net string, dir waveform.Direction, tt, at float64) sta.
 // to 400s gives clients something actionable.
 func TestAnalyzeBoundaryContract(t *testing.T) {
 	c := boundaryCircuit(t)
+	p := compile(t, c)
 	okA := func() sta.PIEvent { return ev(c, "a", waveform.Rising, 300e-12, 0) }
 	cases := []struct {
 		name     string
@@ -58,7 +60,7 @@ func TestAnalyzeBoundaryContract(t *testing.T) {
 	for _, mode := range []sta.Mode{sta.Proximity, sta.Conventional} {
 		for _, tc := range cases {
 			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
-				res, err := c.Analyze(tc.events, mode)
+				res, err := p.Analyze(context.Background(), tc.events, mode, sta.Options{})
 				if err == nil {
 					t.Fatalf("accepted %s; result %+v", tc.name, res)
 				}
@@ -71,11 +73,11 @@ func TestAnalyzeBoundaryContract(t *testing.T) {
 
 	// Opposite-direction events on the same PI are two distinct transitions,
 	// not duplicates — the boundary must not over-reject.
-	if _, err := c.Analyze([]sta.PIEvent{
+	if _, err := p.Analyze(context.Background(), []sta.PIEvent{
 		ev(c, "a", waveform.Rising, 300e-12, 0),
 		ev(c, "a", waveform.Falling, 300e-12, 500e-12),
 		ev(c, "b", waveform.Rising, 250e-12, 20e-12),
-	}, sta.Proximity); err != nil {
+	}, sta.Proximity, sta.Options{}); err != nil {
 		t.Fatalf("valid opposite-direction events rejected: %v", err)
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/waveform"
 )
 
-// TestCompiledMatchesAnalyze: the precompiled handle must reproduce
-// Circuit.AnalyzeOpts exactly — same arrivals, same stats — and report the
-// schedule shape it captured.
+// TestCompiledMatchesAnalyze: the handle reports the schedule shape it
+// captured, and its parallel and batch paths reproduce its serial Analyze
+// exactly.
 func TestCompiledMatchesAnalyze(t *testing.T) {
 	c, err := sta.SynthRandom(32, 1200, 11)
 	if err != nil {
@@ -26,7 +26,7 @@ func TestCompiledMatchesAnalyze(t *testing.T) {
 		t.Fatalf("handle shape: gates=%d levels=%d", p.NumGates(), p.NumLevels())
 	}
 	evs := sta.SynthEvents(c, 5)
-	ref, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1})
+	ref, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestWriteNetlistRoundTrip(t *testing.T) {
 	for i, ev := range evs {
 		evs2[i] = sta.PIEvent{Net: c2.Net(ev.Net.Name), Dir: ev.Dir, Time: ev.Time, TT: ev.TT}
 	}
-	r1, err := c.Analyze(evs, sta.Proximity)
+	r1, err := compile(t, c).Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c2.Analyze(evs2, sta.Proximity)
+	r2, err := compile(t, c2).Analyze(context.Background(), evs2, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,5 +108,21 @@ func TestWriteNetlistRoundTrip(t *testing.T) {
 				t.Fatalf("net %s %v: %v/%v vs %v/%v", name, dir, ok1, a1, ok2, a2)
 			}
 		}
+	}
+}
+
+// TestEmptyBatchRejected: a batch with no vectors is a caller bug, not a
+// successful empty analysis.
+func TestEmptyBatchRejected(t *testing.T) {
+	c, err := sta.SynthRandom(8, 100, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := compile(t, c)
+	if _, err := p.AnalyzeBatch(context.Background(), nil, sta.Proximity, sta.Options{}); err == nil {
+		t.Error("AnalyzeBatch accepted a nil batch")
+	}
+	if _, err := p.AnalyzeBatch(context.Background(), [][]sta.PIEvent{}, sta.Proximity, sta.Options{}); err == nil {
+		t.Error("AnalyzeBatch accepted an empty batch")
 	}
 }

@@ -148,14 +148,3 @@ func (p *Compiled) stimulated(res *Result) bool {
 	}
 	return false
 }
-
-// AnalyzeDelta is the circuit-level convenience wrapper: it compiles (or
-// reuses the memoized handle) and runs the delta against it, attributing
-// any compile it performed like AnalyzeOpts does. The baseline must have
-// been produced against the circuit's current structure — after a
-// structural edit the handle recompiles and the stale baseline is rejected.
-func (c *Circuit) AnalyzeDelta(baseline *Result, delta Delta, opt Options) (*Result, error) {
-	return withCompile(c, opt.Trace, func(p *Compiled) (*Result, error) {
-		return p.AnalyzeDelta(context.Background(), baseline, delta, opt)
-	}, (*Result).stats)
-}

@@ -7,6 +7,7 @@ package sta_test
 // arrivals, PulseInfo records and pulse counters alike.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sta"
@@ -16,12 +17,13 @@ import (
 // requireFilteredDeltaIdentical compares a delta result against a fresh full
 // filtered analysis of the edited vector, bit for bit: every net's arrivals,
 // every pulse verdict, and the pulse counters.
-func requireFilteredDeltaIdentical(t *testing.T, c *sta.Circuit, got *sta.Result, edited []sta.PIEvent) *sta.Result {
+func requireFilteredDeltaIdentical(t *testing.T, p *sta.Compiled, got *sta.Result, edited []sta.PIEvent) *sta.Result {
 	t.Helper()
-	want, err := c.AnalyzeOpts(edited, sta.Proximity, sta.Options{PulseFiltering: true})
+	want, err := p.Analyze(context.Background(), edited, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := p.Circuit()
 	for _, name := range c.NetsByName() {
 		n := c.Net(name)
 		for _, dir := range []waveform.Direction{waveform.Rising, waveform.Falling} {
@@ -70,7 +72,8 @@ func TestDeltaResurrectsAbsorbedPairByWidening(t *testing.T) {
 	}
 	c.MarkOutput(out2)
 	minSep := pulseMinSep(t, pulseTTFall, pulseTTRise)
-	base, err := c.AnalyzeOpts(pulseVector(a, b, pulseTTFall, pulseTTRise, minSep-50e-12),
+	p := compile(t, c)
+	base, err := p.Analyze(context.Background(), pulseVector(a, b, pulseTTFall, pulseTTRise, minSep-50e-12),
 		sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
@@ -83,13 +86,13 @@ func TestDeltaResurrectsAbsorbedPairByWidening(t *testing.T) {
 	}
 
 	wide := minSep + 30e-12
-	got, err := c.AnalyzeDelta(base, sta.Delta{Set: []sta.PIEvent{
+	got, err := p.AnalyzeDelta(context.Background(), base, sta.Delta{Set: []sta.PIEvent{
 		{Net: a, Dir: waveform.Falling, TT: pulseTTFall, Time: wide},
 	}}, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFilteredDeltaIdentical(t, c, got,
+	requireFilteredDeltaIdentical(t, p, got,
 		pulseVector(a, b, pulseTTFall, pulseTTRise, wide))
 	for _, dir := range []waveform.Direction{waveform.Rising, waveform.Falling} {
 		if _, ok := got.Arrival(out, dir); !ok {
@@ -116,7 +119,8 @@ func TestDeltaResurrectsAbsorbedPairByWidening(t *testing.T) {
 func TestDeltaResurrectsAbsorbedPairByRemove(t *testing.T) {
 	c, a, b, out := pulsePair(t)
 	minSep := pulseMinSep(t, pulseTTFall, pulseTTRise)
-	base, err := c.AnalyzeOpts(pulseVector(a, b, pulseTTFall, pulseTTRise, minSep-50e-12),
+	p := compile(t, c)
+	base, err := p.Analyze(context.Background(), pulseVector(a, b, pulseTTFall, pulseTTRise, minSep-50e-12),
 		sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
@@ -125,14 +129,14 @@ func TestDeltaResurrectsAbsorbedPairByRemove(t *testing.T) {
 		t.Fatalf("premise: baseline must absorb the pair, got %+v", base.Stats)
 	}
 
-	got, err := c.AnalyzeDelta(base, sta.Delta{Remove: []sta.DeltaRemove{
+	got, err := p.AnalyzeDelta(context.Background(), base, sta.Delta{Remove: []sta.DeltaRemove{
 		{Net: b, Dir: waveform.Rising},
 	}}, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The edited vector keeps only a's falling event.
-	requireFilteredDeltaIdentical(t, c, got, []sta.PIEvent{
+	requireFilteredDeltaIdentical(t, p, got, []sta.PIEvent{
 		{Net: a, Dir: waveform.Falling, TT: pulseTTFall, Time: minSep - 50e-12},
 	})
 	if _, ok := got.Arrival(out, waveform.Rising); !ok {
@@ -155,7 +159,8 @@ func TestDeltaResurrectsAbsorbedPairByRemove(t *testing.T) {
 func TestDeltaReabsorbsDegradedPairByNarrowing(t *testing.T) {
 	c, a, b, out := pulsePair(t)
 	minSep := pulseMinSep(t, pulseTTFall, pulseTTRise)
-	base, err := c.AnalyzeOpts(pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
+	p := compile(t, c)
+	base, err := p.Analyze(context.Background(), pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
 		sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
@@ -165,13 +170,13 @@ func TestDeltaReabsorbsDegradedPairByNarrowing(t *testing.T) {
 	}
 
 	narrow := minSep - 50e-12
-	got, err := c.AnalyzeDelta(base, sta.Delta{Set: []sta.PIEvent{
+	got, err := p.AnalyzeDelta(context.Background(), base, sta.Delta{Set: []sta.PIEvent{
 		{Net: a, Dir: waveform.Falling, TT: pulseTTFall, Time: narrow},
 	}}, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFilteredDeltaIdentical(t, c, got,
+	requireFilteredDeltaIdentical(t, p, got,
 		pulseVector(a, b, pulseTTFall, pulseTTRise, narrow))
 	for _, dir := range []waveform.Direction{waveform.Rising, waveform.Falling} {
 		if arr, ok := got.Arrival(out, dir); ok {
@@ -202,7 +207,8 @@ func TestDeltaInheritsUntouchedVerdict(t *testing.T) {
 	minSep := pulseMinSep(t, pulseTTFall, pulseTTRise)
 	evs := append(pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
 		sta.PIEvent{Net: x, Dir: waveform.Falling, TT: 200e-12, Time: 1e-9})
-	base, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{PulseFiltering: true})
+	p := compile(t, c)
+	base, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +220,7 @@ func TestDeltaInheritsUntouchedVerdict(t *testing.T) {
 		t.Fatal("premise: baseline carries no verdict")
 	}
 
-	got, err := c.AnalyzeDelta(base, sta.Delta{Set: []sta.PIEvent{
+	got, err := p.AnalyzeDelta(context.Background(), base, sta.Delta{Set: []sta.PIEvent{
 		{Net: x, Dir: waveform.Falling, TT: 200e-12, Time: 2e-9},
 	}}, sta.Options{PulseFiltering: true})
 	if err != nil {
@@ -222,7 +228,7 @@ func TestDeltaInheritsUntouchedVerdict(t *testing.T) {
 	}
 	edited := append(pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
 		sta.PIEvent{Net: x, Dir: waveform.Falling, TT: 200e-12, Time: 2e-9})
-	requireFilteredDeltaIdentical(t, c, got, edited)
+	requireFilteredDeltaIdentical(t, p, got, edited)
 	gotPI, ok := got.Pulse(out)
 	if !ok || gotPI != basePI {
 		t.Fatalf("untouched gate's verdict not inherited bit-exactly: %+v vs baseline %+v (recorded=%v)",

@@ -237,9 +237,6 @@ func TestDeltaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 == p {
-		t.Fatal("structural edit did not produce a new compiled handle")
-	}
 	if _, err := p2.AnalyzeDelta(context.Background(), baseline, sta.Delta{Set: events[:1]}, sta.Options{}); err == nil || !strings.Contains(err.Error(), "different compile") {
 		t.Errorf("stale baseline: error %v, want different-compile rejection", err)
 	}
@@ -285,37 +282,11 @@ func TestDeltaCancellation(t *testing.T) {
 	compareResults(t, c, want, got, "delta after cancellation")
 }
 
-// TestCircuitAnalyzeDelta: the circuit-level wrapper compiles on demand and
-// attributes the compile into the result like AnalyzeOpts does.
-func TestCircuitAnalyzeDelta(t *testing.T) {
-	c, err := sta.SynthRandom(16, 300, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := sta.SynthEvents(c, 4)
-	baseline, err := c.AnalyzeOpts(events, sta.Proximity, sta.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := sta.Delta{Set: []sta.PIEvent{
-		{Net: events[1].Net, Dir: events[1].Dir, Time: events[1].Time + 20e-12, TT: events[1].TT},
-	}}
-	got, err := c.AnalyzeDelta(baseline, delta, sta.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.AnalyzeOpts(applyDelta(events, delta), sta.Proximity, sta.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, c, want, got, "circuit delta")
-}
-
 // TestDeltaRejectsBaselineAcrossForwardNetEdit: driving an existing forward
-// net adds a gate without adding a net, so a baseline from before the edit
-// indexes exactly as many nets as the recompiled handle. It must still be
-// rejected — re-timing it would leave the newly driven net without its
-// arrival and the gates it feeds at their stale times.
+// net adds a gate without adding a net, so a baseline compiled before the
+// edit indexes exactly as many nets as the handle compiled after it. It
+// must still be rejected — re-timing it would leave the newly driven net
+// without its arrival and the gates it feeds at their stale times.
 func TestDeltaRejectsBaselineAcrossForwardNetEdit(t *testing.T) {
 	c := sta.NewCircuit(sta.SynthLibrary(2))
 	a, b := c.Input("a"), c.Input("b")
@@ -329,7 +300,9 @@ func TestDeltaRejectsBaselineAcrossForwardNetEdit(t *testing.T) {
 		{Net: a, Dir: waveform.Rising, Time: 0, TT: 200e-12},
 		{Net: b, Dir: waveform.Rising, Time: 50e-12, TT: 200e-12},
 	}
-	baseline, err := c.AnalyzeOpts(events, sta.Proximity, sta.Options{Workers: 1})
+	ctx := context.Background()
+	before := compile(t, c)
+	baseline, err := before.Analyze(ctx, events, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,22 +313,23 @@ func TestDeltaRejectsBaselineAcrossForwardNetEdit(t *testing.T) {
 	if c.NumNets() != nets {
 		t.Fatalf("edit changed the net count %d -> %d; the test wants it unchanged", nets, c.NumNets())
 	}
+	after := compile(t, c)
 	nudge := sta.Delta{Set: []sta.PIEvent{{Net: a, Dir: waveform.Rising, Time: 5e-12, TT: 200e-12}}}
-	if _, err := c.AnalyzeDelta(baseline, nudge, sta.Options{}); err == nil || !strings.Contains(err.Error(), "different compile") {
+	if _, err := after.AnalyzeDelta(ctx, baseline, nudge, sta.Options{}); err == nil || !strings.Contains(err.Error(), "different compile") {
 		t.Fatalf("pre-edit baseline: error %v, want different-compile rejection", err)
 	}
 
-	// A baseline from the recompiled handle re-times to the full answer,
+	// A baseline from the post-edit handle re-times to the full answer,
 	// with the newly driven net carrying its arrival.
-	fresh, err := c.AnalyzeOpts(events, sta.Proximity, sta.Options{Workers: 1})
+	fresh, err := after.Analyze(ctx, events, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.AnalyzeDelta(fresh, nudge, sta.Options{})
+	got, err := after.AnalyzeDelta(ctx, fresh, nudge, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.AnalyzeOpts(applyDelta(events, nudge), sta.Proximity, sta.Options{Workers: 1})
+	want, err := after.Analyze(ctx, applyDelta(events, nudge), sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func buildExplainCircuit(t *testing.T) (*sta.Circuit, []sta.PIEvent) {
 
 func TestExplainProximityNet(t *testing.T) {
 	c, evs := buildExplainCircuit(t)
-	res, err := c.Analyze(evs, sta.Proximity)
+	res, err := compile(t, c).Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestExplainProximityNet(t *testing.T) {
 
 func TestExplainConventionalNet(t *testing.T) {
 	c, evs := buildExplainCircuit(t)
-	res, err := c.Analyze(evs, sta.Conventional)
+	res, err := compile(t, c).Analyze(context.Background(), evs, sta.Conventional, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestExplainConventionalNet(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	c, evs := buildExplainCircuit(t)
-	res, err := c.Analyze(evs, sta.Proximity)
+	res, err := compile(t, c).Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestExplainErrors(t *testing.T) {
 	if _, err := c2.AddGate("g", "inv", "z", x); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := c2.Analyze([]sta.PIEvent{{Net: c2.Net("y"), Dir: waveform.Rising, TT: 200e-12, Time: 0}}, sta.Proximity)
+	res2, err := compile(t, c2).Analyze(context.Background(), []sta.PIEvent{{Net: c2.Net("y"), Dir: waveform.Rising, TT: 200e-12, Time: 0}}, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -21,7 +22,7 @@ func TestPerGateKernelAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.AnalyzeOpts(evs, Proximity, Options{Workers: 1, PulseFiltering: true})
+	res, err := p.Analyze(context.Background(), evs, Proximity, Options{Workers: 1, PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}

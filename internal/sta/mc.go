@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -337,63 +336,16 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 		return nil
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
+	// One worker, and so one recycled result, per goroutine.
+	workers := workerCount(opt.Workers, opt.Samples)
+	ws := []*mcWorker{first}
+	for len(ws) < workers {
+		ws = append(ws, p.newMCWorker(events, mode, opt))
 	}
-	if workers > opt.Samples {
-		workers = opt.Samples
-	}
-	errs := make([]error, opt.Samples)
-	// One sample, with a panic outside the per-gate evaluation (which the
-	// walk already contains) recovered as that sample's error.
-	run := func(w *mcWorker, si int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = recovered(r)
-			}
-		}()
-		return runSample(w, si)
-	}
-	if workers <= 1 {
-		for si := 0; si < opt.Samples; si++ {
-			if errs[si] = run(first, si); errs[si] != nil {
-				break
-			}
-		}
-	} else {
-		// Samples are handed out in index order, and none after one has
-		// failed: every lower index has been taken by then and runs to its
-		// end, so the lowest failing index below is the one the serial
-		// loop reports.
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			w := first
-			if wi > 0 {
-				w = p.newMCWorker(events, mode, opt)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !failed.Load() {
-					si := int(next.Add(1) - 1)
-					if si >= opt.Samples {
-						return
-					}
-					if errs[si] = run(w, si); errs[si] != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for si, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sta: mc sample %d: %w", si, err)
-		}
+	if si, err := runEach(opt.Samples, workers, func(w, si int) error {
+		return runSample(ws[w], si)
+	}); err != nil {
+		return nil, fmt.Errorf("sta: mc sample %d: %w", si, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sta: mc analysis interrupted: %w", err)
@@ -476,13 +428,4 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	out.Stats.Phases.Add(obs.PhaseMC, time.Since(mcStart))
 	out.Stats.Wall = time.Since(wallStart)
 	return out, nil
-}
-
-// AnalyzeMC is the circuit-level entry point: compile (memoized) and run.
-// Compile time is charged to the result's PhaseCompile bucket, mirroring
-// AnalyzeOpts.
-func (c *Circuit) AnalyzeMC(events []PIEvent, mode Mode, opt MCOptions) (*MCResult, error) {
-	return withCompile(c, opt.Trace, func(p *Compiled) (*MCResult, error) {
-		return p.AnalyzeMC(context.Background(), events, mode, opt)
-	}, func(r *MCResult) *Stats { return &r.Stats })
 }

@@ -9,13 +9,14 @@ import (
 	"repro/internal/sta"
 )
 
-func mcTestCircuit(t testing.TB) (*sta.Circuit, []sta.PIEvent) {
+// mcTestCircuit compiles a small random DAG and a stimulus for it.
+func mcTestCircuit(t testing.TB) (*sta.Compiled, []sta.PIEvent) {
 	t.Helper()
 	c, err := sta.SynthRandom(12, 80, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, sta.SynthEvents(c, 7)
+	return compile(t, c), sta.SynthEvents(c, 7)
 }
 
 // A sigma-0 Monte-Carlo run takes the unperturbed arithmetic path, so every
@@ -23,13 +24,13 @@ func mcTestCircuit(t testing.TB) (*sta.Circuit, []sta.PIEvent) {
 // deterministic analysis. (The full 120-config sweep lives in the difftest
 // oracle; this is the fast in-package check.)
 func TestMCSigmaZeroMatchesAnalyze(t *testing.T) {
-	c, evs := mcTestCircuit(t)
+	p, evs := mcTestCircuit(t)
 	for _, mode := range []sta.Mode{sta.Proximity, sta.Conventional} {
-		ref, err := c.Analyze(evs, mode)
+		ref, err := p.Analyze(context.Background(), evs, mode, sta.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.AnalyzeMC(evs, mode, sta.MCOptions{Samples: 3, Sigma: 0})
+		res, err := p.AnalyzeMC(context.Background(), evs, mode, sta.MCOptions{Samples: 3, Sigma: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,17 +72,17 @@ func TestMCSigmaZeroMatchesAnalyze(t *testing.T) {
 // the worker count: deviates are pure functions of (seed, sample, gate) and
 // aggregation runs in sample order after the barrier.
 func TestMCWorkerCountInvariance(t *testing.T) {
-	c, evs := mcTestCircuit(t)
+	p, evs := mcTestCircuit(t)
 	base := sta.MCOptions{Samples: 24, Seed: 99, Sigma: 0.04}
 	base.Workers = 1
-	ref, err := c.AnalyzeMC(evs, sta.Proximity, base)
+	ref, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
 		opt := base
 		opt.Workers = workers
-		got, err := c.AnalyzeMC(evs, sta.Proximity, opt)
+		got, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +113,8 @@ func TestMCWorkerCountInvariance(t *testing.T) {
 // perturbation hook is wired through) and different seeds must draw
 // different deviates.
 func TestMCSigmaSpreads(t *testing.T) {
-	c, evs := mcTestCircuit(t)
-	a, err := c.AnalyzeMC(evs, sta.Proximity, sta.MCOptions{Samples: 32, Seed: 1, Sigma: 0.05})
+	p, evs := mcTestCircuit(t)
+	a, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, sta.MCOptions{Samples: 32, Seed: 1, Sigma: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestMCSigmaSpreads(t *testing.T) {
 	if !spread {
 		t.Fatal("sigma 0.05 produced zero spread on every output — perturbation not applied")
 	}
-	b, err := c.AnalyzeMC(evs, sta.Proximity, sta.MCOptions{Samples: 32, Seed: 2, Sigma: 0.05})
+	b, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, sta.MCOptions{Samples: 32, Seed: 2, Sigma: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +149,8 @@ func TestMCSigmaSpreads(t *testing.T) {
 // Corner presets run as degenerate deterministic analyses: typ is
 // bit-identical to Analyze, slow arrives later than fast.
 func TestMCCorners(t *testing.T) {
-	c, evs := mcTestCircuit(t)
-	res, err := c.AnalyzeMC(evs, sta.Proximity, sta.MCOptions{
+	p, evs := mcTestCircuit(t)
+	res, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, sta.MCOptions{
 		Samples: 1, Sigma: 0, Corners: []string{"slow", "typ", "fast"},
 	})
 	if err != nil {
@@ -158,7 +159,7 @@ func TestMCCorners(t *testing.T) {
 	if len(res.Corners) != 3 {
 		t.Fatalf("got %d corner runs", len(res.Corners))
 	}
-	ref, err := c.Analyze(evs, sta.Proximity)
+	ref, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestMCCorners(t *testing.T) {
 		byName[cr.Name] = cr.Result
 	}
 	slower, strict := 0, 0
-	for _, po := range c.POs {
+	for _, po := range p.Circuit().POs {
 		if typ, ok := byName["typ"].Latest(po); ok {
 			refA, _ := ref.Latest(po)
 			if typ.Time != refA.Time || typ.TT != refA.TT {
@@ -192,7 +193,7 @@ func TestMCCorners(t *testing.T) {
 // convention, table-driven over the Go API (NaN cannot transit JSON, so the
 // HTTP table covers the rest).
 func TestMCValidation(t *testing.T) {
-	c, evs := mcTestCircuit(t)
+	p, evs := mcTestCircuit(t)
 	cases := []struct {
 		name  string
 		opt   sta.MCOptions
@@ -207,7 +208,7 @@ func TestMCValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := c.AnalyzeMC(evs, sta.Proximity, tc.opt)
+			_, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, tc.opt)
 			if err == nil {
 				t.Fatalf("want error naming %q, got nil", tc.field)
 			}
@@ -218,18 +219,14 @@ func TestMCValidation(t *testing.T) {
 	}
 	bad := sta.MCOptions{Samples: 4, Sigma: 0.1}
 	bad.Perturb = func(int32) float64 { return 2 }
-	if _, err := c.AnalyzeMC(evs, sta.Proximity, bad); err == nil || !strings.Contains(err.Error(), "Perturb") {
+	if _, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, bad); err == nil || !strings.Contains(err.Error(), "Perturb") {
 		t.Fatalf("caller-supplied Perturb should be rejected, got %v", err)
 	}
 }
 
 // Cancellation aborts the sample loop with the context error.
 func TestMCContextCancel(t *testing.T) {
-	c, evs := mcTestCircuit(t)
-	p, err := c.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, evs := mcTestCircuit(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.AnalyzeMC(ctx, evs, sta.Proximity, sta.MCOptions{Samples: 64, Sigma: 0.05}); err == nil {
@@ -239,8 +236,8 @@ func TestMCContextCancel(t *testing.T) {
 
 // The MC phase timer lands in the result and respects Sum() <= Wall.
 func TestMCPhaseAccounting(t *testing.T) {
-	c, evs := mcTestCircuit(t)
-	res, err := c.AnalyzeMC(evs, sta.Proximity, sta.MCOptions{Samples: 8, Sigma: 0.02})
+	p, evs := mcTestCircuit(t)
+	res, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, sta.MCOptions{Samples: 8, Sigma: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}

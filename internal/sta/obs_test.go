@@ -2,6 +2,7 @@ package sta_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/obs"
@@ -17,13 +18,14 @@ func TestAnalyzeTraceAndPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := sta.SynthEvents(c, 1)
+	p := compile(t, c)
 
-	plain, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 2})
+	plain, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace()
-	traced, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 2, Trace: tr})
+	traced, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 2, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestBatchTracePerVectorRows(t *testing.T) {
 	}
 	batch := [][]sta.PIEvent{sta.SynthEvents(c, 1), sta.SynthEvents(c, 2), sta.SynthEvents(c, 3)}
 	tr := obs.NewTrace()
-	if _, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{Workers: 2, Trace: tr}); err != nil {
+	if _, err := compile(t, c).AnalyzeBatch(context.Background(), batch, sta.Proximity, sta.Options{Workers: 2, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

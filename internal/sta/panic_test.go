@@ -2,6 +2,7 @@ package sta_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -73,9 +74,11 @@ func panicStack(t *testing.T, what string, err error, want string) {
 // removed the same compile analyzes normally.
 func TestEvaluationPanicIsContained(t *testing.T) {
 	c, evs, calc := panickyCircuit(t)
+	p := compile(t, c)
+	ctx := context.Background()
 	var msgs []string
 	for _, workers := range []int{1, 2} {
-		_, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: workers})
+		_, err := p.Analyze(ctx, evs, sta.Proximity, sta.Options{Workers: workers})
 		if !errors.Is(err, sta.ErrPanic) {
 			t.Fatalf("Workers %d: error %v, want one wrapping ErrPanic", workers, err)
 		}
@@ -91,12 +94,12 @@ func TestEvaluationPanicIsContained(t *testing.T) {
 
 	batch := [][]sta.PIEvent{evs, sta.SynthEvents(c, 4), sta.SynthEvents(c, 5)}
 	for _, workers := range []int{1, 2} {
-		_, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{Workers: workers})
+		_, err := p.AnalyzeBatch(ctx, batch, sta.Proximity, sta.Options{Workers: workers})
 		if !errors.Is(err, sta.ErrPanic) || !strings.Contains(err.Error(), "batch vector 0") {
 			t.Errorf("batch at Workers %d: error %v, want ErrPanic naming vector 0", workers, err)
 		}
 		panicStack(t, fmt.Sprintf("batch at Workers %d", workers), err, "panicDual.Ratios")
-		_, err = c.AnalyzeMC(evs, sta.Proximity, sta.MCOptions{Samples: 4, Seed: 1, Sigma: 0.05,
+		_, err = p.AnalyzeMC(ctx, evs, sta.Proximity, sta.MCOptions{Samples: 4, Seed: 1, Sigma: 0.05,
 			Options: sta.Options{Workers: workers}})
 		if !errors.Is(err, sta.ErrPanic) || !strings.Contains(err.Error(), "mc sample 0") {
 			t.Errorf("mc at Workers %d: error %v, want ErrPanic naming sample 0", workers, err)
@@ -105,7 +108,7 @@ func TestEvaluationPanicIsContained(t *testing.T) {
 	}
 
 	calc.Dual = nil
-	got, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 2})
+	got, err := p.Analyze(ctx, evs, sta.Proximity, sta.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("analysis after the defect was removed: %v", err)
 	}
@@ -113,7 +116,7 @@ func TestEvaluationPanicIsContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.AnalyzeOpts(sta.SynthEvents(fresh, 3), sta.Proximity, sta.Options{Workers: 1})
+	want, err := compile(t, fresh).Analyze(ctx, sta.SynthEvents(fresh, 3), sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,8 @@ func TestCommitPanicIsContained(t *testing.T) {
 	for _, gm := range calc.Model.Glitches {
 		gm.Extreme = table.MustNew([]float64{0, 1}, []float64{0, 1})
 	}
-	res, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1})
+	p := compile(t, c)
+	res, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("unfiltered analysis touched the glitch grids: %v", err)
 	}
@@ -145,7 +149,7 @@ func TestCommitPanicIsContained(t *testing.T) {
 		t.Fatal("no proximity evaluation: the vector cannot produce opposite-edge pairs")
 	}
 	for _, workers := range []int{1, 2} {
-		_, err = c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: workers, PulseFiltering: true})
+		_, err = p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: workers, PulseFiltering: true})
 		if !errors.Is(err, sta.ErrPanic) || !strings.Contains(err.Error(), "sta: walk: ") {
 			t.Errorf("Workers %d: error %v, want ErrPanic recovered by the walk", workers, err)
 		}
@@ -162,7 +166,7 @@ func TestMCStopsAtFirstFailingSample(t *testing.T) {
 	var calls atomic.Int64
 	calc.Dual = countingPanicDual{&calls}
 	const samples = 4096
-	_, err := c.AnalyzeMC(evs, sta.Proximity, sta.MCOptions{Samples: samples, Seed: 1, Sigma: 0.05,
+	_, err := compile(t, c).AnalyzeMC(context.Background(), evs, sta.Proximity, sta.MCOptions{Samples: samples, Seed: 1, Sigma: 0.05,
 		Options: sta.Options{Workers: 2}})
 	if !errors.Is(err, sta.ErrPanic) || !strings.Contains(err.Error(), "mc sample 0:") {
 		t.Errorf("error %v, want ErrPanic naming sample 0", err)
@@ -170,5 +174,42 @@ func TestMCStopsAtFirstFailingSample(t *testing.T) {
 	// Each failing sample panics at its first dual lookup.
 	if n := calls.Load(); n == 0 || n > samples/16 {
 		t.Errorf("%d of %d samples ran: the loop kept handing out samples after one failed", n, samples)
+	}
+}
+
+// TestBatchStopsAtFirstFailingVector: once a vector fails, AnalyzeBatch
+// starts no further vector, on the serial and the parallel path, and
+// reports the lowest failing index. Vector 0 repeats an event, so it fails
+// at its seed before any gate runs, and every Perturb call counted belongs
+// to a vector after it: serially none may run, and with two workers only
+// what the other worker took before the failure was seen.
+func TestBatchStopsAtFirstFailingVector(t *testing.T) {
+	c, err := sta.SynthRandom(8, 60, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := compile(t, c)
+	evs := sta.SynthEvents(c, 1)
+	const vectors = 256
+	batch := make([][]sta.PIEvent, vectors)
+	batch[0] = append(evs[:len(evs):len(evs)], evs[0])
+	for i := 1; i < vectors; i++ {
+		batch[i] = evs
+	}
+	for _, workers := range []int{1, 2} {
+		var calls atomic.Int64
+		opt := sta.Options{Workers: workers, Perturb: func(int32) float64 {
+			calls.Add(1)
+			return 1
+		}}
+		_, err := p.AnalyzeBatch(context.Background(), batch, sta.Proximity, opt)
+		if err == nil || !strings.HasPrefix(err.Error(), "sta: batch vector 0: ") {
+			t.Errorf("Workers %d: error %v, want one naming vector 0", workers, err)
+		}
+		n := calls.Load()
+		t.Logf("Workers %d: %d gate evaluations after vector 0 failed", workers, n)
+		if (workers == 1 && n != 0) || n > int64(len(c.Gates))*vectors/16 {
+			t.Errorf("Workers %d: %d gate evaluations after vector 0 failed: the batch kept running vectors", workers, n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestDeepChainLevelization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.AnalyzeOpts([]sta.PIEvent{{Net: in, Dir: waveform.Rising, Time: 0, TT: 200e-12}},
+	res, err := compile(t, c).Analyze(context.Background(), []sta.PIEvent{{Net: in, Dir: waveform.Rising, Time: 0, TT: 200e-12}},
 		sta.Proximity, sta.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -83,12 +84,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := sta.SynthEvents(c, 7)
+	p := compile(t, c)
+	ctx := context.Background()
 	for _, mode := range []sta.Mode{sta.Proximity, sta.Conventional} {
-		serial, err := c.AnalyzeOpts(evs, mode, sta.Options{Workers: 1})
+		serial, err := p.Analyze(ctx, evs, mode, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := c.AnalyzeOpts(evs, mode, sta.Options{Workers: 8})
+		parallel, err := p.Analyze(ctx, evs, mode, sta.Options{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +143,9 @@ func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 	for i := range batch {
 		batch[i] = sta.SynthEvents(c, int64(100+i))
 	}
-	results, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{Workers: 4})
+	p := compile(t, c)
+	ctx := context.Background()
+	results, err := p.AnalyzeBatch(ctx, batch, sta.Proximity, sta.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +153,7 @@ func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 		t.Fatalf("got %d results for %d vectors", len(results), len(batch))
 	}
 	for i, evs := range batch {
-		ref, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1})
+		ref, err := p.Analyze(ctx, evs, sta.Proximity, sta.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +161,7 @@ func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 	}
 	// A bad vector aborts with its index and net name.
 	bad := [][]sta.PIEvent{batch[0], {{Net: c.Net("n0"), Dir: waveform.Rising, Time: 0, TT: 1e-10}}}
-	if _, err := c.AnalyzeBatch(bad, sta.Proximity, sta.Options{}); err == nil {
+	if _, err := p.AnalyzeBatch(ctx, bad, sta.Proximity, sta.Options{}); err == nil {
 		t.Fatal("batch with an internal-net event accepted")
 	}
 }
@@ -173,12 +178,13 @@ func TestDuplicatePIEventRejected(t *testing.T) {
 		{Net: in, Dir: waveform.Rising, Time: 0, TT: 100e-12},
 		{Net: in, Dir: waveform.Rising, Time: 50e-12, TT: 200e-12},
 	}
-	if _, err := c.Analyze(evs, sta.Proximity); err == nil {
+	p := compile(t, c)
+	if _, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{}); err == nil {
 		t.Fatal("duplicate same-direction PI event accepted")
 	}
 	// Opposite directions on one net remain legal.
 	evs[1].Dir = waveform.Falling
-	if _, err := c.Analyze(evs, sta.Proximity); err != nil {
+	if _, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{}); err != nil {
 		t.Fatalf("opposite-direction events rejected: %v", err)
 	}
 }
@@ -196,10 +202,10 @@ func TestAnalyzeStats(t *testing.T) {
 	if _, err := c.AddGate("g2", "inv", "n2", n1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Analyze([]sta.PIEvent{
+	res, err := compile(t, c).Analyze(context.Background(), []sta.PIEvent{
 		{Net: a, Dir: waveform.Falling, Time: 0, TT: 300e-12},
 		{Net: b, Dir: waveform.Falling, Time: 10e-12, TT: 300e-12},
-	}, sta.Proximity)
+	}, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

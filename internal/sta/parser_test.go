@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestParseNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Analyze(evs, sta.Proximity)
+	res, err := compile(t, c).Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

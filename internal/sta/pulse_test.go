@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -66,8 +67,9 @@ func TestPulseFilterAbsorbs(t *testing.T) {
 	minSep := pulseMinSep(t, pulseTTFall, pulseTTRise)
 	evs := pulseVector(a, b, pulseTTFall, pulseTTRise, minSep-50e-12)
 
+	p := compile(t, c)
 	// Without filtering the pair propagates as two full-swing arrivals.
-	off, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{})
+	off, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestPulseFilterAbsorbs(t *testing.T) {
 		t.Fatal("filtering off: verdict recorded")
 	}
 
-	on, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{PulseFiltering: true})
+	on, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +123,12 @@ func TestPulseFilterDegrades(t *testing.T) {
 	minSep := pulseMinSep(t, pulseTTFall, pulseTTRise)
 	evs := pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12)
 
-	off, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{})
+	p := compile(t, c)
+	off, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{PulseFiltering: true})
+	on, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +176,12 @@ func TestPulseFilterPolarityMismatch(t *testing.T) {
 		{Net: a, Dir: waveform.Falling, TT: pulseTTFall, Time: 0},
 		{Net: b, Dir: waveform.Rising, TT: pulseTTRise, Time: 2e-9},
 	}
-	off, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{})
+	p := compile(t, c)
+	off, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{PulseFiltering: true})
+	on, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +262,9 @@ func TestPulseFilterNorJudges(t *testing.T) {
 	c, a, b, out := norPulsePair(t)
 	minW := norPulseMinWidth(t, pulseTTFall, pulseTTRise)
 
+	p := compile(t, c)
 	// Narrow bump: absorbed, nothing commits.
-	on, err := c.AnalyzeOpts(norPulseVector(a, b, pulseTTFall, pulseTTRise, minW-50e-12),
+	on, err := p.Analyze(context.Background(), norPulseVector(a, b, pulseTTFall, pulseTTRise, minW-50e-12),
 		sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
@@ -294,12 +299,12 @@ func TestPulseFilterNorJudges(t *testing.T) {
 	}
 
 	// Wide bump: survives, leading rising edge degraded by the swing deficit.
-	off, err := c.AnalyzeOpts(norPulseVector(a, b, pulseTTFall, pulseTTRise, minW+30e-12),
+	off, err := p.Analyze(context.Background(), norPulseVector(a, b, pulseTTFall, pulseTTRise, minW+30e-12),
 		sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err = c.AnalyzeOpts(norPulseVector(a, b, pulseTTFall, pulseTTRise, minW+30e-12),
+	on, err = p.Analyze(context.Background(), norPulseVector(a, b, pulseTTFall, pulseTTRise, minW+30e-12),
 		sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +347,8 @@ func TestPulseFilterNorPolarityMismatch(t *testing.T) {
 		{Net: b, Dir: waveform.Rising, TT: pulseTTRise, Time: 0},
 		{Net: a, Dir: waveform.Falling, TT: pulseTTFall, Time: 2e-9},
 	}
-	on, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{PulseFiltering: true})
+	p := compile(t, c)
+	on, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +376,8 @@ func TestPulseFilterBatchPropagates(t *testing.T) {
 		pulseVector(a, b, pulseTTFall, pulseTTRise, minSep-50e-12),
 		pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
 	}
-	results, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{PulseFiltering: true})
+	p := compile(t, c)
+	results, err := p.AnalyzeBatch(context.Background(), batch, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,20 +395,21 @@ func TestPulseFilterBatchPropagates(t *testing.T) {
 func TestPulseFilterDeltaMismatchRejected(t *testing.T) {
 	c, a, b, _ := pulsePair(t)
 	evs := pulseVector(a, b, pulseTTFall, pulseTTRise, 5e-9)
-	base, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{})
+	p := compile(t, c)
+	base, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := sta.Delta{Set: []sta.PIEvent{{Net: a, Dir: waveform.Falling, TT: pulseTTFall, Time: 6e-9}}}
-	if _, err := c.AnalyzeDelta(base, d, sta.Options{PulseFiltering: true}); err == nil ||
+	if _, err := p.AnalyzeDelta(context.Background(), base, d, sta.Options{PulseFiltering: true}); err == nil ||
 		!strings.Contains(err.Error(), "PulseFiltering") {
 		t.Errorf("delta with PulseFiltering over an unfiltered baseline accepted (err=%v)", err)
 	}
-	filtered, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{PulseFiltering: true})
+	filtered, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AnalyzeDelta(filtered, d, sta.Options{}); err == nil ||
+	if _, err := p.AnalyzeDelta(context.Background(), filtered, d, sta.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "PulseFiltering") {
 		t.Errorf("unfiltered delta over a pulse-filtered baseline accepted (err=%v)", err)
 	}
@@ -417,7 +425,8 @@ func TestPulseFilterMCSigmaZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := runtPulseStimulus(c, 7)
-	ref, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{PulseFiltering: true})
+	p := compile(t, c)
+	ref, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +437,7 @@ func TestPulseFilterMCSigmaZero(t *testing.T) {
 	opt := sta.MCOptions{Samples: 3, Sigma: 0}
 	opt.PulseFiltering = true
 	opt.Workers = 2
-	res, err := c.AnalyzeMC(evs, sta.Proximity, opt)
+	res, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +493,8 @@ func TestPulseFilterMCWorkerInvariance(t *testing.T) {
 	base := sta.MCOptions{Samples: 24, Seed: 1234, Sigma: 0.06}
 	base.PulseFiltering = true
 	base.Workers = 1
-	ref, err := c.AnalyzeMC(evs, sta.Proximity, base)
+	p := compile(t, c)
+	ref, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +514,7 @@ func TestPulseFilterMCWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{3, 5} {
 		opt := base
 		opt.Workers = workers
-		got, err := c.AnalyzeMC(evs, sta.Proximity, opt)
+		got, err := p.AnalyzeMC(context.Background(), evs, sta.Proximity, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +552,8 @@ func TestPulseFilterUnjudgedChain(t *testing.T) {
 	}
 	c.MarkOutput(out2)
 	minSep := pulseMinSep(t, pulseTTFall, pulseTTRise)
-	res, err := c.AnalyzeOpts(pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
+	p := compile(t, c)
+	res, err := p.Analyze(context.Background(), pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
 		sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
@@ -588,15 +599,16 @@ func TestBatchPerturbPropagates(t *testing.T) {
 	}
 	evs := sta.SynthEvents(c, 3)
 	perturb := func(gi int32) float64 { return 1 + 0.01*float64(gi%7+1) }
-	want, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1, Perturb: perturb})
+	p := compile(t, c)
+	want, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 1, Perturb: perturb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1})
+	plain, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := c.AnalyzeBatch([][]sta.PIEvent{evs, evs}, sta.Proximity, sta.Options{Perturb: perturb})
+	results, err := p.AnalyzeBatch(context.Background(), [][]sta.PIEvent{evs, evs}, sta.Proximity, sta.Options{Perturb: perturb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +641,8 @@ func TestPulseFilterExplain(t *testing.T) {
 	c, a, b, out := pulsePair(t)
 	minSep := pulseMinSep(t, pulseTTFall, pulseTTRise)
 
-	degraded, err := c.AnalyzeOpts(pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
+	p := compile(t, c)
+	degraded, err := p.Analyze(context.Background(), pulseVector(a, b, pulseTTFall, pulseTTRise, minSep+30e-12),
 		sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)
@@ -654,7 +667,7 @@ func TestPulseFilterExplain(t *testing.T) {
 		t.Errorf("degraded report does not state how far past the inertial delay (%.2fps):\n%s", past, sb.String())
 	}
 
-	filtered, err := c.AnalyzeOpts(pulseVector(a, b, pulseTTFall, pulseTTRise, minSep-50e-12),
+	filtered, err := p.Analyze(context.Background(), pulseVector(a, b, pulseTTFall, pulseTTRise, minSep-50e-12),
 		sta.Proximity, sta.Options{PulseFiltering: true})
 	if err != nil {
 		t.Fatal(err)

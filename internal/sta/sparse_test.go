@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func TestSparseCriticalPathAcrossPrunedCones(t *testing.T) {
 	}
 	const tile = 2
 	evs := sta.SynthEventsFor(sta.TilePIs(c, tile), 21)
-	res, err := c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1})
+	res, err := compile(t, c).Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,8 @@ func TestSparseZeroConeStimulus(t *testing.T) {
 	}
 	c.MarkOutput(x)
 
-	res, err := c.AnalyzeOpts([]sta.PIEvent{
+	p := compile(t, c)
+	res, err := p.Analyze(context.Background(), []sta.PIEvent{
 		{Net: unused, Dir: waveform.Rising, Time: 0, TT: 200e-12},
 	}, sta.Proximity, sta.Options{Workers: 1})
 	if err != nil {
@@ -95,10 +97,6 @@ func TestSparseZeroConeStimulus(t *testing.T) {
 	}
 
 	// The compiled handle agrees: the cone is empty, not absent.
-	p, err := c.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cone, ok := p.Cone(unused)
 	if !ok || len(cone) != 0 {
 		t.Fatalf("Cone(unused) = %v, %v; want empty, true", cone, ok)
@@ -132,10 +130,10 @@ func TestConventionalErrorContext(t *testing.T) {
 	}
 	c.MarkOutput(x)
 
-	_, err = c.Analyze([]sta.PIEvent{
+	_, err = compile(t, c).Analyze(context.Background(), []sta.PIEvent{
 		{Net: a, Dir: waveform.Falling, Time: 0, TT: 200e-12},
 		{Net: b, Dir: waveform.Falling, Time: 10e-12, TT: 200e-12},
-	}, sta.Conventional)
+	}, sta.Conventional, sta.Options{})
 	if err == nil {
 		t.Fatal("crippled pin evaluated without error")
 	}
@@ -166,9 +164,9 @@ func TestConventionalNaNDelayRejected(t *testing.T) {
 	}
 	c.MarkOutput(x)
 
-	_, err = c.Analyze([]sta.PIEvent{
+	_, err = compile(t, c).Analyze(context.Background(), []sta.PIEvent{
 		{Net: a, Dir: waveform.Falling, Time: 0, TT: 200e-12},
-	}, sta.Conventional)
+	}, sta.Conventional, sta.Options{})
 	if err == nil {
 		t.Fatal("NaN single-arc delay produced an arrival")
 	}

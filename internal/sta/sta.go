@@ -91,8 +91,8 @@ type Gate struct {
 	In   []*Net
 	Out  *Net
 	// idx is the gate's dense position in Circuit.Gates, assigned at AddGate.
-	// Levelization and incremental recompile index by it instead of carrying
-	// a map[*Gate]int per build.
+	// Levelization and the compiled tables index by it instead of carrying a
+	// map[*Gate]int per build.
 	idx int32
 }
 
@@ -109,19 +109,6 @@ type Circuit struct {
 	// poSet mirrors POs so repeated output declarations collapse to one —
 	// a duplicated `output` line must not duplicate arrivals in reports.
 	poSet map[*Net]bool
-
-	// compiled memoizes Compile so the Analyze entry points don't pay
-	// levelization (and the consumer table build) per call on an unchanged
-	// netlist. Staleness is structural: all mutations (Input, AddGate, net
-	// creation) append, so a handle is current exactly when its snapshot
-	// counts match the circuit's — no dirty flag to keep in sync. A stale
-	// handle seeds an incremental recompile of just the appended suffix
-	// (see recompile in incremental.go); handles already obtained by
-	// callers keep working against the snapshot they hold. Concurrent
-	// Analyze callers may race to fill it, which is safe — every handle
-	// built from the same structure is equivalent.
-	compileMu sync.Mutex
-	compiled  *Compiled
 }
 
 // NewCircuit returns an empty circuit over a library.
@@ -319,10 +306,9 @@ type Options struct {
 	// schedule changes, the arithmetic does not.
 	Workers int
 	// Trace, when non-nil, records Chrome trace_event spans for the
-	// analysis: compile (if it happens), schedule construction, each
-	// evaluation level, and the per-worker shares within a level. nil (the
-	// default) records nothing and costs nothing beyond dead nil-checks —
-	// the hot path stays hot.
+	// analysis: schedule construction, each evaluation level, and the
+	// per-worker shares within a level. nil (the default) records nothing
+	// and costs nothing beyond dead nil-checks — the hot path stays hot.
 	Trace *obs.Trace
 	// Perturb, when non-nil, supplies a per-gate multiplier applied to the
 	// table-backed delay and output transition time of every evaluation of
@@ -407,12 +393,11 @@ type Stats struct {
 	// zero).
 	PerLevel []LevelStat
 	// Phases breaks the analysis wall time into the engine's accounting
-	// buckets (compile, consumer-table build, schedule, seed, eval,
-	// commit). The buckets are disjoint intervals, so Phases.Sum() <= Wall.
-	// Always on: the cost is a handful of clock reads per analysis.
+	// buckets (consumer-table build, schedule, seed, eval, commit). The
+	// buckets are disjoint intervals, so Phases.Sum() <= Wall. Always on:
+	// the cost is a handful of clock reads per analysis.
 	Phases obs.PhaseTimes
-	// Wall is the total wall time of this analysis, including any compile
-	// the entry point performed on its behalf.
+	// Wall is the total wall time of this analysis.
 	Wall time.Duration
 }
 
@@ -510,80 +495,12 @@ func (r *Result) Latest(n *Net) (Arrival, bool) {
 	return best, found
 }
 
-// Analyze propagates the primary-input events through the circuit.
-//
-// Each net carries at most one arrival per direction. A gate output
-// transition in direction d is caused by the input arrivals in direction
-// opposite(d) (all library gates are inverting). In Proximity mode every
-// causing input within the dominant input's proximity window contributes via
-// Algorithm ProximityDelay; in Conventional mode the latest causing input's
-// single-input delay wins.
-//
-// Evaluation runs over the levelized schedule with a bounded worker pool
-// (Options.Workers via AnalyzeOpts; Analyze uses the default). Gates within
-// one topological level are independent, so the parallel schedule performs
-// exactly the serial arithmetic and the results are bit-identical.
-func (c *Circuit) Analyze(events []PIEvent, mode Mode) (*Result, error) {
-	return c.AnalyzeOpts(events, mode, Options{})
-}
-
-// AnalyzeOpts is Analyze with explicit execution options.
-func (c *Circuit) AnalyzeOpts(events []PIEvent, mode Mode, opt Options) (*Result, error) {
-	return withCompile(c, opt.Trace, func(p *Compiled) (*Result, error) {
-		return p.Analyze(context.Background(), events, mode, opt)
-	}, (*Result).stats)
-}
-
-// stats returns the result's Stats for compile attribution.
-func (r *Result) stats() *Stats { return &r.Stats }
-
-// withCompile is the body of every circuit-level entry point: compile (or
-// reuse the memoized handle), run the call against the handle, and charge
-// the compile this call performed — near zero on a memoized handle — into
-// the phase breakdown and total wall of the Stats that stats picks from the
-// output. One compile happened, so exactly one Stats carries it.
-func withCompile[T any](c *Circuit, tr *obs.Trace, call func(*Compiled) (T, error), stats func(T) *Stats) (T, error) {
-	compileStart := time.Now()
-	p, fresh, err := c.compileTimed(tr)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	compileWall := time.Since(compileStart)
-	out, err := call(p)
-	if err != nil {
-		return out, err
-	}
-	st := stats(out)
-	st.Phases.Add(obs.PhaseCompile, compileWall)
-	if fresh {
-		st.Phases.Add(obs.PhaseLevelize, p.levelizeWall)
-	}
-	st.Wall += compileWall
-	return out, nil
-}
-
-// AnalyzeBatch analyzes N independent primary-input vectors against ONE
-// shared levelization of the circuit — the heavy-traffic shape where the
-// netlist is fixed and stimuli stream through. Vectors are spread across
-// the worker budget (each vector runs the serial per-gate path, so the
-// budget is not oversubscribed); every result is bit-identical to Analyze
-// on the same events. The first failing vector (lowest index) aborts the
-// batch.
-func (c *Circuit) AnalyzeBatch(batch [][]PIEvent, mode Mode, opt Options) ([]*Result, error) {
-	// The compile lands on the batch's first result, so the service's phase
-	// histograms see it exactly once.
-	return withCompile(c, opt.Trace, func(p *Compiled) ([]*Result, error) {
-		return p.AnalyzeBatch(context.Background(), batch, mode, opt)
-	}, func(rs []*Result) *Stats { return &rs[0].Stats })
-}
-
 // Compiled is a reusable analysis handle: a circuit bound to its levelized
-// schedule. Compiling once and analyzing many times is the long-lived
-// service shape — the topological sort is paid per netlist upload, not per
-// stimulus vector. The handle snapshots the schedule: structural edits to
-// the circuit (AddGate, Input) after Compile are not reflected until the
-// circuit is compiled again.
+// schedule, and the engine's only way to analyze one. Compiling once and
+// analyzing many times is the long-lived service shape — the topological
+// sort is paid per netlist upload, not per stimulus vector. The handle
+// snapshots the schedule: structural edits to the circuit (AddGate, Input)
+// after Compile are not reflected until the circuit is compiled again.
 //
 // A Compiled handle is safe for concurrent use: Analyze and AnalyzeBatch
 // only read the circuit and schedule (the lazily built consumer table is
@@ -601,14 +518,8 @@ type Compiled struct {
 	// compile are rejected rather than silently mis-indexed).
 	numNets  int
 	gateList []*Gate // gate index -> *Gate, netlist order
-	pis      []*Net  // primary inputs at compile time
 
 	maxWidth int // widest level, sizes the per-level eval buffer
-
-	// levelizeWall is the wall time the topological sort took inside this
-	// handle's (single, possibly shared) compile — reported into the phase
-	// breakdown of the analyze call that triggered the build.
-	levelizeWall time.Duration
 
 	// gateLevel maps gate index -> topological level, built at compile time
 	// (it is the levelized schedule in a second shape, O(gates) to fill).
@@ -627,85 +538,23 @@ type Compiled struct {
 // handleSeq numbers compiled handles process-wide (see Compiled.id).
 var handleSeq atomic.Uint64
 
-// Compile levelizes the circuit into a reusable analysis handle. It fails
-// exactly when Analyze would: on a combinational loop. The handle is
-// memoized on the circuit until the next structural mutation, so repeated
-// Analyze/AnalyzeBatch calls share one levelization, one consumer table and
-// one scratch pool.
+// Compile levelizes the circuit into a new analysis handle, snapshotting
+// the circuit and deriving the per-gate level table. It fails on a
+// combinational loop. Every call builds a new handle; analyses that share
+// one share its levelization, consumer table and scratch pool.
 func (c *Circuit) Compile() (*Compiled, error) {
-	p, _, err := c.compileTimed(nil)
-	return p, err
-}
-
-// stale reports whether a memoized handle no longer matches the circuit's
-// structure. All mutations append (gates, nets, primary inputs), so count
-// equality against the snapshot is an exact currency test.
-func (c *Circuit) stale(p *Compiled) bool {
-	return p.gates != len(c.Gates) || p.numNets != len(c.nets) || len(p.pis) != len(c.PIs)
-}
-
-// compileTimed is Compile with span recording and a freshness report:
-// fresh is true when this call actually built the handle (rather than
-// reusing the memoized one), which is when its levelizeWall is chargeable
-// to the caller. tr == nil records nothing. A stale memoized handle is not
-// discarded: it seeds an incremental recompile that re-levelizes only the
-// appended suffix and its downstream fanout.
-func (c *Circuit) compileTimed(tr *obs.Trace) (p *Compiled, fresh bool, err error) {
-	c.compileMu.Lock()
-	old := c.compiled
-	c.compileMu.Unlock()
-	if old != nil && !c.stale(old) {
-		return old, false, nil
-	}
-
-	compileSpan := tr.Begin(0, 0, "sta", "compile").Arg("gates", len(c.Gates))
-	if old != nil {
-		p, err = c.recompile(old, tr)
-	} else {
-		p, err = c.compileFull(tr)
-	}
-	if err != nil {
-		compileSpan.End()
-		return nil, false, err
-	}
-	c.compileMu.Lock()
-	if cur := c.compiled; cur != old && cur != nil && !c.stale(cur) {
-		p = cur // another caller built a current handle first; share theirs
-	} else {
-		c.compiled = p
-		fresh = true
-	}
-	c.compileMu.Unlock()
-	compileSpan.Arg("levels", len(p.levels)).End()
-	return p, fresh, nil
-}
-
-// compileFull levelizes the whole circuit from scratch into a new handle.
-func (c *Circuit) compileFull(tr *obs.Trace) (*Compiled, error) {
-	levelizeSpan := tr.Begin(0, 0, "sta", "levelize")
-	levelizeStart := time.Now()
 	levels, err := c.levelize()
-	levelizeWall := time.Since(levelizeStart)
-	levelizeSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	return newCompiled(c, levels, levelizeWall), nil
-}
-
-// newCompiled assembles a handle around the circuit's levelized schedule,
-// snapshotting the circuit and deriving the per-gate level table.
-func newCompiled(c *Circuit, levels [][]*Gate, levelizeWall time.Duration) *Compiled {
 	p := &Compiled{
-		c:            c,
-		levels:       levels,
-		gates:        len(c.Gates),
-		id:           handleSeq.Add(1),
-		numNets:      len(c.nets),
-		gateList:     append([]*Gate(nil), c.Gates...),
-		pis:          append([]*Net(nil), c.PIs...),
-		levelizeWall: levelizeWall,
-		gateLevel:    make([]int32, len(c.Gates)),
+		c:         c,
+		levels:    levels,
+		gates:     len(c.Gates),
+		id:        handleSeq.Add(1),
+		numNets:   len(c.nets),
+		gateList:  append([]*Gate(nil), c.Gates...),
+		gateLevel: make([]int32, len(c.Gates)),
 	}
 	for li, level := range levels {
 		p.maxWidth = max(p.maxWidth, len(level))
@@ -714,7 +563,7 @@ func newCompiled(c *Circuit, levels [][]*Gate, levelizeWall time.Duration) *Comp
 		}
 	}
 	p.scratch.New = func() any { return newEvalScratch(p) }
-	return p
+	return p, nil
 }
 
 // Circuit returns the underlying circuit (for net lookup and reporting).
@@ -726,37 +575,41 @@ func (p *Compiled) NumGates() int { return p.gates }
 // NumLevels returns the depth of the levelized schedule.
 func (p *Compiled) NumLevels() int { return len(p.levels) }
 
-// Levels exposes the handle's levelized schedule (shared storage — callers
-// must not mutate). Unlike Circuit.Levels it reads the snapshot instead of
-// re-running the topological sort, so tests can compare an incrementally
-// recompiled schedule against a from-scratch one.
-func (p *Compiled) Levels() [][]*Gate { return p.levels }
-
-// Analyze runs one stimulus vector over the precompiled schedule. The
-// context is checked at every level boundary, so a canceled or expired
-// request abandons a deep netlist promptly instead of walking it to the end.
+// Analyze propagates one vector of primary-input events through the
+// precompiled schedule.
+//
+// Each net carries at most one arrival per direction. A gate output
+// transition in direction d is caused by the input arrivals in direction
+// opposite(d) (all library gates are inverting). In Proximity mode every
+// causing input within the dominant input's proximity window contributes via
+// Algorithm ProximityDelay; in Conventional mode the latest causing input's
+// single-input delay wins.
+//
+// Evaluation runs level by level with a bounded worker pool
+// (Options.Workers). Gates within one topological level are independent, so
+// the parallel schedule performs exactly the serial arithmetic and the
+// results are bit-identical. The context is checked at every level
+// boundary, so a canceled or expired request abandons a deep netlist
+// promptly instead of walking it to the end.
 func (p *Compiled) Analyze(ctx context.Context, events []PIEvent, mode Mode, opt Options) (*Result, error) {
 	return p.analyze(ctx, events, mode, opt, 0)
 }
 
-// AnalyzeBatch fans N independent vectors across the worker budget against
-// the precompiled schedule (see Circuit.AnalyzeBatch for the semantics).
-// Cancellation aborts the batch between vectors and between levels.
+// AnalyzeBatch analyzes N independent primary-input vectors against the
+// handle's one levelization — the heavy-traffic shape where the netlist is
+// fixed and stimuli stream through. Vectors are spread across the worker
+// budget (each vector runs the serial per-gate path, so the budget is not
+// oversubscribed); every result is bit-identical to Analyze on the same
+// events. The first failing vector (lowest index) aborts the batch: no
+// vector is started after one has failed. Cancellation aborts the batch
+// between vectors and between levels.
 func (p *Compiled) AnalyzeBatch(ctx context.Context, batch [][]PIEvent, mode Mode, opt Options) ([]*Result, error) {
 	if len(batch) == 0 {
 		// Reject like analyze rejects an empty vector: a no-op batch is a
 		// caller bug, and ([], nil) upstream reads as a successful analysis.
 		return nil, fmt.Errorf("sta: empty batch (no stimulus vectors)")
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
 	results := make([]*Result, len(batch))
-	errs := make([]error, len(batch))
 	// Copy the caller's options wholesale and override only the concurrency:
 	// each vector runs the serial per-gate path so the worker budget is
 	// spent across vectors, not inside them. Rebuilding the struct
@@ -764,47 +617,83 @@ func (p *Compiled) AnalyzeBatch(ctx context.Context, batch [][]PIEvent, mode Mod
 	// PulseFiltering) every time Options grew a knob.
 	perVector := opt
 	perVector.Workers = 1
-	// One vector, with a panic outside the per-gate evaluation (which the
-	// walk already contains) recovered as that vector's error.
-	run := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				results[i], errs[i] = nil, recovered(r)
-			}
-		}()
-		results[i], errs[i] = p.analyze(ctx, batch[i], mode, perVector, int64(i))
-	}
-	if workers <= 1 {
-		for i := range batch {
-			run(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= len(batch) {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sta: batch vector %d: %w", i, err)
-		}
+	if i, err := runEach(len(batch), workerCount(opt.Workers, len(batch)), func(_, i int) (err error) {
+		results[i], err = p.analyze(ctx, batch[i], mode, perVector, int64(i))
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("sta: batch vector %d: %w", i, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sta: batch interrupted: %w", err)
 	}
 	return results, nil
+}
+
+// workerCount resolves a worker budget for n independent tasks: 0 derives
+// the default from the CPU count, and no more workers than tasks.
+func workerCount(workers, n int) int {
+	if workers <= 0 {
+		workers = defaultWorkers()
+	}
+	return min(workers, n)
+}
+
+// runEach runs task(w, i) for every index i in [0, n) on workers
+// goroutines; w in [0, workers) names the goroutine, so a task can keep
+// per-goroutine state. workers <= 1 runs the loop on the caller's
+// goroutine. Indices are handed out in ascending order, and none after a
+// task has failed: every lower index has been handed out by then and runs
+// to its end, so the index reported — the lowest that failed, with its
+// error — is the one the serial loop reports. A panic in a task (outside
+// the per-gate evaluation, which the walk already contains) is recovered
+// as that task's error.
+func runEach(n, workers int, task func(w, i int) error) (int, error) {
+	run := func(w, i int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = recovered(r)
+			}
+		}()
+		return task(w, i)
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := run(0, i); err != nil {
+				return i, err
+			}
+		}
+		return n, nil
+	}
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		mu     sync.Mutex
+		first  = n
+		ferr   error
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := run(w, i); err != nil {
+					mu.Lock()
+					if i < first {
+						first, ferr = i, err
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first, ferr
 }
 
 // gateEval is one gate's computed output arrivals (or failure) within a

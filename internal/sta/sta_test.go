@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -58,6 +59,16 @@ func testLibrary(t testing.TB) *sta.Library {
 	return lib
 }
 
+// compile levelizes a test circuit into its analysis handle.
+func compile(tb testing.TB, c *sta.Circuit) *sta.Compiled {
+	tb.Helper()
+	p, err := c.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 func TestCircuitConstruction(t *testing.T) {
 	l := testLibrary(t)
 	c := sta.NewCircuit(l)
@@ -97,7 +108,7 @@ func TestInverterChainDelayAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := []sta.PIEvent{{Net: in, Dir: waveform.Rising, Time: 0, TT: 200e-12}}
-	res, err := c.Analyze(ev, sta.Proximity)
+	res, err := compile(t, c).Analyze(context.Background(), ev, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +139,17 @@ func TestProximityVsConventionalOnCoincidentInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := compile(t, c)
+	ctx := context.Background()
 	ev := []sta.PIEvent{
 		{Net: a, Dir: waveform.Falling, Time: 0, TT: 400e-12},
 		{Net: b, Dir: waveform.Falling, Time: 20e-12, TT: 400e-12},
 	}
-	conv, err := c.Analyze(ev, sta.Conventional)
+	conv, err := p.Analyze(ctx, ev, sta.Conventional, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prox, err := c.Analyze(ev, sta.Proximity)
+	prox, err := p.Analyze(ctx, ev, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +169,11 @@ func TestProximityVsConventionalOnCoincidentInputs(t *testing.T) {
 		{Net: a, Dir: waveform.Rising, Time: 0, TT: 400e-12},
 		{Net: b, Dir: waveform.Rising, Time: 20e-12, TT: 400e-12},
 	}
-	conv2, err := c.Analyze(ev2, sta.Conventional)
+	conv2, err := p.Analyze(ctx, ev2, sta.Conventional, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prox2, err := c.Analyze(ev2, sta.Proximity)
+	prox2, err := p.Analyze(ctx, ev2, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +190,11 @@ func TestAnalyzeValidation(t *testing.T) {
 	c := sta.NewCircuit(l)
 	a := c.Input("a")
 	n1, _ := c.AddGate("g", "inv", "n1", a)
-	if _, err := c.Analyze([]sta.PIEvent{{Net: n1, Dir: waveform.Rising, Time: 0, TT: 1e-10}}, sta.Proximity); err == nil {
+	p := compile(t, c)
+	if _, err := p.Analyze(context.Background(), []sta.PIEvent{{Net: n1, Dir: waveform.Rising, Time: 0, TT: 1e-10}}, sta.Proximity, sta.Options{}); err == nil {
 		t.Error("event on internal net accepted")
 	}
-	if _, err := c.Analyze([]sta.PIEvent{{Net: a, Dir: waveform.Rising, Time: 0, TT: 0}}, sta.Proximity); err == nil {
+	if _, err := p.Analyze(context.Background(), []sta.PIEvent{{Net: a, Dir: waveform.Rising, Time: 0, TT: 0}}, sta.Proximity, sta.Options{}); err == nil {
 		t.Error("zero transition time accepted")
 	}
 }
@@ -197,7 +211,7 @@ func TestCombinationalLoopDetected(t *testing.T) {
 	if _, err := c2.AddGate("l2", "inv", "fwd", x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Analyze([]sta.PIEvent{{Net: c2.Net("pi"), Dir: waveform.Rising, Time: 0, TT: 1e-10}}, sta.Proximity); err == nil {
+	if _, err := c2.Compile(); err == nil {
 		t.Error("combinational loop not detected")
 	}
 }
@@ -211,9 +225,9 @@ func TestSlacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MarkOutput(out)
-	res, err := c.Analyze([]sta.PIEvent{
+	res, err := compile(t, c).Analyze(context.Background(), []sta.PIEvent{
 		{Net: a, Dir: waveform.Rising, Time: 0, TT: 200e-12},
-	}, sta.Proximity)
+	}, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +261,7 @@ func TestLatestAndModeString(t *testing.T) {
 	c := sta.NewCircuit(l)
 	a := c.Input("a")
 	out, _ := c.AddGate("g", "inv", "out", a)
-	res, err := c.Analyze([]sta.PIEvent{{Net: a, Dir: waveform.Rising, Time: 10e-12, TT: 100e-12}}, sta.Proximity)
+	res, err := compile(t, c).Analyze(context.Background(), []sta.PIEvent{{Net: a, Dir: waveform.Rising, Time: 10e-12, TT: 100e-12}}, sta.Proximity, sta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,5 +271,36 @@ func TestLatestAndModeString(t *testing.T) {
 	}
 	if _, ok := res.Arrival(out, waveform.Rising); ok {
 		t.Error("phantom rising arrival on inverter output for rising input")
+	}
+}
+
+// TestLatestWorstSlackAllocFree: the per-PO report helpers run per output
+// per request in the service's response builder — they must not allocate.
+func TestLatestWorstSlackAllocFree(t *testing.T) {
+	if sta.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, err := sta.SynthRandom(8, 100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := compile(t, c).Analyze(context.Background(), sta.SynthEvents(c, 1), sta.Proximity, sta.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.POs) == 0 {
+		t.Fatal("no primary outputs to report on")
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		for _, po := range c.POs {
+			res.Latest(po)
+		}
+	}); allocs != 0 {
+		t.Errorf("Latest allocates %.1f objects per run", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		res.WorstSlack(c.POs, 2e-9)
+	}); allocs != 0 {
+		t.Errorf("WorstSlack allocates %.1f objects per run", allocs)
 	}
 }

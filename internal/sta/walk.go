@@ -151,7 +151,7 @@ func (p *Compiled) checkPI(n *Net, what string) error {
 		return fmt.Errorf("sta: %s on non-primary-input net %s", what, name)
 	}
 	if int(n.id) >= p.numNets {
-		return fmt.Errorf("sta: %s on net %s declared after compile (recompile the circuit)", what, n.Name)
+		return fmt.Errorf("sta: %s on net %s declared after compile (compile the circuit again)", what, n.Name)
 	}
 	return nil
 }
