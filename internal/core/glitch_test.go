@@ -19,7 +19,7 @@ func stuckGateModel(v float64) *macromodel.GateModel {
 		[]float64{50e-12, 2e-9},
 		[]float64{-1e-9, 0, 1e-9},
 	)
-	g.Fill(func([]float64) (float64, error) { return v, nil })
+	g.Fill(func(_, _, _ float64) (float64, error) { return v, nil })
 	return &macromodel.GateModel{
 		Kind:      "nand",
 		NumInputs: 2,

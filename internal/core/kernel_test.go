@@ -194,7 +194,7 @@ func TestEvaluateSeesModelEdits(t *testing.T) {
 		}},
 		{"dual table", func() {
 			for _, d := range m.Duals {
-				d.DelayRatio.Fill(func(x []float64) (float64, error) { return 0.8 + 0.01*x[2], nil })
+				d.DelayRatio.Fill(func(_, _, x3 float64) (float64, error) { return 0.8 + 0.01*x3, nil })
 			}
 		}},
 		{"single τ axis", func() {

@@ -101,7 +101,7 @@ func randExtremeGrid(rng *rand.Rand, rising, mirrored bool) *table.Grid {
 	mode := rng.Intn(4)
 	mid := (rng.Float64()*3 - 1.5) * 1e-9
 	scale := (0.05 + rng.Float64()) * 1e-9
-	_ = g.Fill(func(c []float64) (float64, error) {
+	_ = g.Fill(func(x1, x2, w float64) (float64, error) {
 		switch mode {
 		case 0:
 			return 5 * rng.Float64(), nil
@@ -111,11 +111,10 @@ func randExtremeGrid(rng *rand.Rand, rising, mirrored bool) *table.Grid {
 			}
 			return 4.8, nil
 		}
-		w := c[2]
 		if mirrored {
 			w = -w
 		}
-		x := (w - mid - 0.2*(c[0]+c[1])) / scale
+		x := (w - mid - 0.2*(x1+x2)) / scale
 		sig := 1 / (1 + math.Exp(-x))
 		v := 5 * sig
 		if !rising {
@@ -196,7 +195,7 @@ func TestMinWidthMatchesLegacy(t *testing.T) {
 // read "no pulse passes", not "every pulse passes".
 func TestMinWidthNeverCompletes(t *testing.T) {
 	g := table.MustNew([]float64{50e-12, 1e-9}, []float64{50e-12, 1e-9}, table.LinSpace(50e-12, 2e-9, 5))
-	_ = g.Fill(func([]float64) (float64, error) { return 1.0, nil }) // peak 1 V < Vih
+	_ = g.Fill(func(_, _, _ float64) (float64, error) { return 1.0, nil }) // peak 1 V < Vih
 	m := &macromodel.PulseModel{Pin: 0, FirstDir: waveform.Falling, PositiveGoing: true, Extreme: g}
 	w, ok := m.MinWidth(200e-12, 200e-12, bisectTh)
 	if ok || !math.IsInf(w, 1) {

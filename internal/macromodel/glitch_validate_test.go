@@ -22,7 +22,7 @@ func flatGlitch(v float64, negative bool) *GlitchModel {
 		[]float64{50e-12, 2e-9},
 		[]float64{-1e-9, 0, 1e-9},
 	)
-	g.Fill(func([]float64) (float64, error) { return v, nil })
+	g.Fill(func(_, _, _ float64) (float64, error) { return v, nil })
 	return &GlitchModel{FallPin: 0, RisePin: 1, NegativeGoing: negative, Extreme: g}
 }
 
@@ -108,9 +108,6 @@ func TestValidateCatchesBrokenGlitch(t *testing.T) {
 		{"pins coincide", func(m *GateModel) { m.Glitches[0].RisePin = m.Glitches[0].FallPin }, "glitch[0]"},
 		{"pin out of range", func(m *GateModel) { m.Glitches[1].RisePin = 9 }, "glitch[1]"},
 		{"missing grid", func(m *GateModel) { m.Glitches[0].Extreme = nil }, "missing extreme grid"},
-		{"wrong rank", func(m *GateModel) {
-			m.Glitches[0].Extreme = table.MustNew([]float64{0, 1}, []float64{0, 1})
-		}, "rank 2, want 3"},
 		{"single-point separation axis", func(m *GateModel) {
 			m.Glitches[0].Extreme = table.MustNew(
 				[]float64{50e-12, 2e-9}, []float64{50e-12, 2e-9}, []float64{0})

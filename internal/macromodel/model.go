@@ -268,11 +268,11 @@ func Load(path string) (*GateModel, error) {
 
 // Validate checks the structural consistency every evaluator assumes: pins
 // in range, single-input axes strictly increasing with matching sample
-// counts, dual/glitch/pulse grids present with the three-argument rank the
-// proximity algorithm interpolates. JSON decoding already rejects
-// non-monotone Grid axes (table.New runs inside Grid.UnmarshalJSON), so the
-// axis checks here guard the plain-slice tables and programmatically built
-// models.
+// counts, dual/glitch/pulse grids present with at least two finite points
+// per axis and finite samples. JSON decoding already rejects grids without
+// exactly three axes and non-monotone Grid axes (table.New runs inside
+// Grid.UnmarshalJSON), so the axis checks here guard the plain-slice tables
+// and programmatically built models.
 func (m *GateModel) Validate() error {
 	if m.NumInputs < 1 {
 		return fmt.Errorf("numInputs %d, want >= 1", m.NumInputs)
@@ -306,9 +306,6 @@ func (m *GateModel) Validate() error {
 	checkGrid := func(owner, which string, g *table.Grid) error {
 		if g == nil {
 			return fmt.Errorf("%s: missing %s grid", owner, which)
-		}
-		if d := g.Dims(); d != 3 {
-			return fmt.Errorf("%s: %s grid rank %d, want 3", owner, which, d)
 		}
 		lens := [3]int{}
 		for d := 0; d < 3; d++ {

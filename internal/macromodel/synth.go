@@ -46,8 +46,8 @@ func SynthModel(kind string, numInputs int) *GateModel {
 			tG := table.MustNew(x1, x2, x3)
 			bias := 0.03 * float64(ref) // mild per-arc asymmetry
 			fill := func(g *table.Grid, f func(c Causation, x1, x2, x3, bias float64) float64) {
-				_ = g.Fill(func(cc []float64) (float64, error) {
-					return f(caus, cc[0], cc[1], cc[2], bias), nil
+				_ = g.Fill(func(x1, x2, x3 float64) (float64, error) {
+					return f(caus, x1, x2, x3, bias), nil
 				})
 			}
 			fill(dG, synthDelayRatio)
@@ -87,8 +87,7 @@ func synthGlitch(fallPin, risePin int, negative bool, th waveform.Thresholds) *G
 	tausR := table.LogSpace(50e-12, 2e-9, 4)
 	seps := table.LinSpace(-1.5e-9, 1.5e-9, 13)
 	g := table.MustNew(tausF, tausR, seps)
-	_ = g.Fill(func(c []float64) (float64, error) {
-		tf, tr, s := c[0], c[1], c[2]
+	_ = g.Fill(func(tf, tr, s float64) (float64, error) {
 		width := s
 		if !negative {
 			width = -s

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/table"
 )
 
 // TestSaveAtomic: Save must leave no temp droppings and the written file
@@ -79,9 +77,6 @@ func TestValidateCatchesBrokenModels(t *testing.T) {
 		}, "strictly increasing"},
 		{"dual pins coincide", func(m *GateModel) { m.Duals[0].OtherPin = m.Duals[0].RefPin }, "coincide"},
 		{"dual missing grid", func(m *GateModel) { m.Duals[0].DelayRatio = nil }, "missing delayRatio"},
-		{"dual wrong rank", func(m *GateModel) {
-			m.Duals[0].TTRatio = table.MustNew([]float64{0, 1}, []float64{0, 1})
-		}, "rank 2, want 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,48 +97,62 @@ func TestValidateCatchesBrokenModels(t *testing.T) {
 }
 
 // TestLoadRejectsBrokenFile: a structurally broken model on disk fails Load
-// with an error naming both the file and the table, before any evaluator
-// runs.
+// with an error naming the file and the defect, before any evaluator runs.
+// Each case plants its own defect in the first dual of a good model's JSON.
 func TestLoadRejectsBrokenFile(t *testing.T) {
 	dir := t.TempDir()
-
-	// Rank mismatch survives JSON decoding (Grid accepts any rank) and must
-	// be caught by validation.
-	m := SynthModel("nand", 2)
-	m.Duals[0].DelayRatio = table.MustNew([]float64{0, 1})
-	data, err := json.Marshal(m)
+	good, err := json.Marshal(SynthModel("nand", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "badrank.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		file     string
+		edit     func(dual map[string]any)
+		wantSubs []string
+	}{
+		// Decoding rejects a grid without three axes (Grid.UnmarshalJSON).
+		{"rank2.json", func(dual map[string]any) {
+			dual["delayRatio"] = map[string]any{"axes": [][]float64{{0, 1}, {0, 1}}, "values": []float64{1, 2, 3, 4}}
+		}, []string{"2 axes, want 3"}},
+		// Decoding rejects a non-monotone axis (table.New).
+		{"badaxis.json", func(dual map[string]any) {
+			ax := dual["delayRatio"].(map[string]any)["axes"].([]any)[1].([]any)
+			ax[0], ax[1] = ax[1], ax[0]
+		}, []string{"axis 1 must strictly increase"}},
+		// A null grid decodes to nil; Validate rejects it.
+		{"nullgrid.json", func(dual map[string]any) { dual["delayRatio"] = nil }, []string{"dual[0]", "missing delayRatio"}},
 	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("rank-1 dual grid loaded")
-	} else if !strings.Contains(err.Error(), "badrank.json") || !strings.Contains(err.Error(), "dual[0]") {
-		t.Fatalf("error %q does not name file and table", err)
-	}
-
-	// A non-monotone Grid axis is rejected during decoding (table.New runs
-	// inside Grid.UnmarshalJSON); the Load error still names the file.
-	raw := strings.Replace(string(data), `"axes":[[0,1]`, `"axes":[[1,0]`, 1)
-	path2 := filepath.Join(dir, "badaxis.json")
-	if err := os.WriteFile(path2, []byte(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path2); err == nil {
-		t.Fatal("non-monotone axis loaded")
-	} else if !strings.Contains(err.Error(), "badaxis.json") {
-		t.Fatalf("error %q does not name the file", err)
+	for _, tc := range cases {
+		var doc map[string]any
+		if err := json.Unmarshal(good, &doc); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(doc["duals"].([]any)[0].(map[string]any))
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(path)
+		if err == nil {
+			t.Fatalf("%s loaded", tc.file)
+		}
+		for _, sub := range append(tc.wantSubs, tc.file) {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", tc.file, err, sub)
+			}
+		}
 	}
 
 	// Truncated JSON (the crash Save's temp+rename prevents) is rejected.
-	path3 := filepath.Join(dir, "trunc.json")
-	if err := os.WriteFile(path3, data[:len(data)/2], 0o644); err != nil {
+	path := filepath.Join(dir, "trunc.json")
+	if err := os.WriteFile(path, good[:len(good)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path3); err == nil {
+	if _, err := Load(path); err == nil {
 		t.Fatal("truncated model loaded")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sta"
-	"repro/internal/table"
 	"repro/internal/waveform"
 )
 
@@ -132,13 +131,13 @@ func TestEvaluationPanicIsContained(t *testing.T) {
 }
 
 // TestCommitPanicIsContained: a panic outside the per-gate evaluation —
-// here pulse judging on a malformed (rank-2) glitch grid, which runs in the
+// here pulse judging on a glitch model with no grid, which runs in the
 // serial commit — is recovered by the walk and wrapped in ErrPanic.
 func TestCommitPanicIsContained(t *testing.T) {
 	c, evs, calc := panickyCircuit(t)
 	calc.Dual = nil
 	for _, gm := range calc.Model.Glitches {
-		gm.Extreme = table.MustNew([]float64{0, 1}, []float64{0, 1})
+		gm.Extreme = nil
 	}
 	p := compile(t, c)
 	res, err := p.Analyze(context.Background(), evs, sta.Proximity, sta.Options{Workers: 1})

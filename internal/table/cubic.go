@@ -1,73 +1,53 @@
 package table
 
-// Cubic (tensor-product Hermite) interpolation. Multilinear interpolation
-// of the proximity tables leaves percent-level kinks at grid lines; cubic
+// Cubic (tensor-product Hermite) interpolation. Trilinear interpolation of
+// the proximity tables leaves percent-level kinks at grid lines; cubic
 // interpolation with finite-difference slopes removes most of that error
 // without refining the characterization grid. Evaluation degrades gracefully
 // to linear behaviour at the grid edges (slopes are one-sided there) and
 // clamps outside the grid like Eval.
 
-// EvalCubic interpolates the table at the given coordinates using
-// tensor-product cubic Hermite splines with non-uniform finite-difference
-// slopes.
-func (g *Grid) EvalCubic(coords ...float64) float64 {
-	d := len(g.axes)
-	if len(coords) != d {
-		panic("table: eval rank mismatch")
-	}
-	// Eval's stack bound: rank <= 4 evaluates without allocating.
-	var idxArr [4]int
-	var idx []int
-	if d <= len(idxArr) {
-		idx = idxArr[:d]
-	} else {
-		idx = make([]int, d)
-	}
-	return g.cubicAxis(0, idx, coords)
+// EvalCubic interpolates the table at (c0, c1, c2) using tensor-product
+// cubic Hermite splines with non-uniform finite-difference slopes: a 1-D
+// pass along axis 0 over samples that are passes along axis 1, whose
+// samples are passes along axis 2.
+func (g *Grid) EvalCubic(c0, c1, c2 float64) float64 {
+	return g.hermite(0, c0, func(i int) float64 {
+		return g.hermite(1, c1, func(j int) float64 {
+			return g.hermite(2, c2, func(k int) float64 {
+				return g.values[i*g.s0+j*g.s1+k]
+			})
+		})
+	})
 }
 
-// cubicAxis recursively interpolates along axis k, with idx[0:k] fixed.
-func (g *Grid) cubicAxis(k int, idx []int, coords []float64) float64 {
-	ax := g.axes[k]
+// hermite interpolates along axis d at x over the samples y(i) at that
+// axis's nodes.
+func (g *Grid) hermite(d int, x float64, y func(i int) float64) float64 {
+	ax := g.axes[d]
 	n := len(ax)
-	last := k == len(g.axes)-1
-
-	sample := func(i int) float64 {
-		idx[k] = i
-		if last {
-			return g.values[g.flat(idx)]
-		}
-		return g.cubicAxis(k+1, idx, coords)
-	}
-
-	x := coords[k]
 	if n == 1 {
-		return sample(0)
+		return y(0)
 	}
 	// Locate the cell (clamped).
-	i, frac := g.locate(k, x)
-	x1, x2 := ax[i], ax[i+1]
-	h := x2 - x1
-	y1 := sample(i)
-	y2 := sample(i + 1)
+	i, frac := g.locate(d, x)
 	if frac <= 0 {
-		return y1
+		return y(i)
 	}
 	if frac >= 1 {
-		return y2
+		return y(i + 1)
 	}
+	x1, x2 := ax[i], ax[i+1]
+	h := x2 - x1
+	y1, y2 := y(i), y(i+1)
 	// Finite-difference slopes; one-sided at the edges.
 	m1 := (y2 - y1) / h
 	if i > 0 {
-		x0 := ax[i-1]
-		y0 := sample(i - 1)
-		m1 = weightedSlope(x0, x1, x2, y0, y1, y2)
+		m1 = weightedSlope(ax[i-1], x1, x2, y(i-1), y1, y2)
 	}
 	m2 := (y2 - y1) / h
 	if i+2 < n {
-		x3 := ax[i+2]
-		y3 := sample(i + 2)
-		m2 = weightedSlope(x1, x2, x3, y1, y2, y3)
+		m2 = weightedSlope(x1, x2, ax[i+2], y1, y2, y(i+2))
 	}
 	// Cubic Hermite basis on [0,1].
 	t := frac

@@ -112,16 +112,6 @@ func TestSliceBisectionMatchesEval(t *testing.T) {
 	}
 }
 
-// TestSliceRankPanics: only rank-3 grids slice.
-func TestSliceRankPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Slice of a rank-2 grid did not panic")
-		}
-	}()
-	MustNew([]float64{0, 1}, []float64{0, 1}).Slice(0, 0)
-}
-
 // TestSliceAllocFree: building and evaluating a slice allocates nothing.
 func TestSliceAllocFree(t *testing.T) {
 	g := MustNew([]float64{0, 1, 2}, []float64{0, 1}, LinSpace(-1, 1, 9))

@@ -1,8 +1,9 @@
-// Package table implements regular-grid N-dimensional lookup tables with
-// multilinear interpolation and clamped extrapolation. The paper's dual-input
-// proximity macromodels D(2) and T(2) are three-argument functions of
-// normalized temporal parameters; the practical storage for them (Section 4,
-// Figure 4-2) is exactly this kind of table.
+// Package table implements rank-3 regular-grid lookup tables with trilinear
+// interpolation and clamped extrapolation. The paper's dual-input proximity
+// macromodels D(2) and T(2) are three-argument functions of normalized
+// temporal parameters; the practical storage for them (Section 4, Figure
+// 4-2) is exactly this kind of table, and so are the Section-6
+// extreme-voltage grids.
 package table
 
 import (
@@ -12,22 +13,19 @@ import (
 	"sort"
 )
 
-// Grid is an N-dimensional table over a rectangular grid of sample points.
+// Grid is a table over a rectangular grid of sample points on three axes,
+// stored row-major (axis 2 varies fastest).
 type Grid struct {
-	axes   [][]float64
+	axes   [3][]float64
 	values []float64
-	stride []int
+	s0, s1 int // strides of axes 0 and 1; axis 2's is 1
 }
 
 // New creates a grid over the given axes. Each axis must be strictly
 // increasing and contain at least one point. Values are initialized to zero.
-func New(axes ...[]float64) (*Grid, error) {
-	if len(axes) == 0 {
-		return nil, fmt.Errorf("table: need at least one axis")
-	}
-	total := 1
-	cp := make([][]float64, len(axes))
-	for d, ax := range axes {
+func New(a0, a1, a2 []float64) (*Grid, error) {
+	g := &Grid{}
+	for d, ax := range [3][]float64{a0, a1, a2} {
 		if len(ax) == 0 {
 			return nil, fmt.Errorf("table: axis %d is empty", d)
 		}
@@ -37,36 +35,23 @@ func New(axes ...[]float64) (*Grid, error) {
 					d, i, ax[i], ax[i-1])
 			}
 		}
-		cp[d] = append([]float64(nil), ax...)
-		total *= len(ax)
+		g.axes[d] = append([]float64(nil), ax...)
 	}
-	g := &Grid{axes: cp, values: make([]float64, total)}
-	g.buildStrides()
+	g.s1 = len(a2)
+	g.s0 = len(a1) * g.s1
+	g.values = make([]float64, len(a0)*g.s0)
 	return g, nil
 }
 
 // MustNew is New that panics on error, for callers with literal axes known
 // to be valid (tests, synthetic models).
-func MustNew(axes ...[]float64) *Grid {
-	g, err := New(axes...)
+func MustNew(a0, a1, a2 []float64) *Grid {
+	g, err := New(a0, a1, a2)
 	if err != nil {
 		panic(err)
 	}
 	return g
 }
-
-func (g *Grid) buildStrides() {
-	d := len(g.axes)
-	g.stride = make([]int, d)
-	s := 1
-	for i := d - 1; i >= 0; i-- {
-		g.stride[i] = s
-		s *= len(g.axes[i])
-	}
-}
-
-// Dims returns the number of axes.
-func (g *Grid) Dims() int { return len(g.axes) }
 
 // Axis returns a copy of axis d's sample coordinates.
 func (g *Grid) Axis(d int) []float64 { return append([]float64(nil), g.axes[d]...) }
@@ -74,56 +59,39 @@ func (g *Grid) Axis(d int) []float64 { return append([]float64(nil), g.axes[d]..
 // Len returns the total number of stored samples.
 func (g *Grid) Len() int { return len(g.values) }
 
-// flat converts a multi-index to the flattened offset.
-func (g *Grid) flat(idx []int) int {
-	if len(idx) != len(g.axes) {
-		panic(fmt.Sprintf("table: index rank %d, grid rank %d", len(idx), len(g.axes)))
-	}
-	off := 0
-	for d, i := range idx {
-		if i < 0 || i >= len(g.axes[d]) {
-			panic(fmt.Sprintf("table: index %d out of range on axis %d (len %d)", i, d, len(g.axes[d])))
+// flat converts an index triple to the flattened offset.
+func (g *Grid) flat(i, j, k int) int {
+	for d, x := range [3]int{i, j, k} {
+		if x < 0 || x >= len(g.axes[d]) {
+			panic(fmt.Sprintf("table: index %d out of range on axis %d (len %d)", x, d, len(g.axes[d])))
 		}
-		off += i * g.stride[d]
 	}
-	return off
+	return i*g.s0 + j*g.s1 + k
 }
 
-// At returns the stored sample at a multi-index.
-func (g *Grid) At(idx ...int) float64 { return g.values[g.flat(idx)] }
+// At returns the stored sample at index (i, j, k).
+func (g *Grid) At(i, j, k int) float64 { return g.values[g.flat(i, j, k)] }
 
-// Set stores a sample at a multi-index.
-func (g *Grid) Set(v float64, idx ...int) { g.values[g.flat(idx)] = v }
+// Set stores a sample at index (i, j, k).
+func (g *Grid) Set(v float64, i, j, k int) { g.values[g.flat(i, j, k)] = v }
 
-// Fill evaluates f at every grid point and stores the result. The coords
-// slice passed to f is reused; copy it if retained. Fill returns the first
-// error from f and stops.
-func (g *Grid) Fill(f func(coords []float64) (float64, error)) error {
-	d := len(g.axes)
-	idx := make([]int, d)
-	coords := make([]float64, d)
-	for {
-		for k := 0; k < d; k++ {
-			coords[k] = g.axes[k][idx[k]]
-		}
-		v, err := f(coords)
-		if err != nil {
-			return fmt.Errorf("table: fill at %v: %w", coords, err)
-		}
-		g.values[g.flat(idx)] = v
-		// Advance the multi-index.
-		k := d - 1
-		for ; k >= 0; k-- {
-			idx[k]++
-			if idx[k] < len(g.axes[k]) {
-				break
+// Fill evaluates f at every grid point, axis 2 fastest, and stores the
+// result. Fill returns the first error from f and stops.
+func (g *Grid) Fill(f func(x0, x1, x2 float64) (float64, error)) error {
+	n := 0
+	for _, x0 := range g.axes[0] {
+		for _, x1 := range g.axes[1] {
+			for _, x2 := range g.axes[2] {
+				v, err := f(x0, x1, x2)
+				if err != nil {
+					return fmt.Errorf("table: fill at [%v %v %v]: %w", x0, x1, x2, err)
+				}
+				g.values[n] = v
+				n++
 			}
-			idx[k] = 0
-		}
-		if k < 0 {
-			return nil
 		}
 	}
+	return nil
 }
 
 // locate finds the cell and interpolation fraction on axis d for coordinate
@@ -151,49 +119,13 @@ func (g *Grid) locate(d int, x float64) (i int, frac float64) {
 	return i, (x - ax[i]) / (ax[i+1] - ax[i])
 }
 
-// Eval interpolates the table at the given coordinates (multilinear with
-// clamped extrapolation). It performs no heap allocation for grids of rank
-// ≤ 4 — Eval sits on the per-gate hot path of the proximity STA.
-func (g *Grid) Eval(coords ...float64) float64 {
-	d := len(g.axes)
-	if len(coords) != d {
-		panic(fmt.Sprintf("table: eval rank %d, grid rank %d", len(coords), d))
-	}
-	var baseArr [4]int
-	var fracArr [4]float64
-	var base []int
-	var frac []float64
-	if d <= len(baseArr) {
-		base, frac = baseArr[:d], fracArr[:d]
-	} else {
-		base, frac = make([]int, d), make([]float64, d)
-	}
-	for k := 0; k < d; k++ {
-		base[k], frac[k] = g.locate(k, coords[k])
-	}
-	// Sum over the 2^d corners of the containing cell.
-	total := 0.0
-	for corner := 0; corner < (1 << d); corner++ {
-		w := 1.0
-		off := 0
-		for k := 0; k < d; k++ {
-			i := base[k]
-			if corner&(1<<k) != 0 {
-				// High corner on axis k.
-				if len(g.axes[k]) > 1 {
-					i++
-				}
-				w *= frac[k]
-			} else {
-				w *= 1 - frac[k]
-			}
-			off += i * g.stride[k]
-		}
-		if w != 0 {
-			total += w * g.values[off]
-		}
-	}
-	return total
+// Eval interpolates the table at (c0, c1, c2), trilinear with clamped
+// extrapolation: a one-shot Slice. It performs no heap allocation — Eval
+// sits on the per-gate hot path of the proximity STA.
+func (g *Grid) Eval(c0, c1, c2 float64) float64 {
+	s := g.Slice(c0, c1)
+	i, f := g.locate(2, c2)
+	return s.sum(i, f)
 }
 
 // Span returns the first and last sample coordinates of axis d. Unlike
@@ -204,101 +136,81 @@ func (g *Grid) Span(d int) (lo, hi float64) {
 	return ax[0], ax[len(ax)-1]
 }
 
-// Slice is a rank-3 grid with its first two coordinates fixed: the 1-D
-// function x ↦ Eval(c0, c1, x) that a bisection along the third axis walks.
-// Slice.Eval returns exactly what Eval would, bit for bit, because it
-// replays Eval's operation order with the loop-invariant part hoisted: each
-// of the four (axis 0, axis 1) corner weights is the same product
-// (1·a0)·a1 Eval forms, computed once here instead of once per call; a
-// call then locates only the third coordinate, multiplies each hoisted
-// weight by that axis's weight and sums the eight corners in Eval's corner
-// order (axis-2 low corners first), skipping zero weights as Eval does.
+// Slice is a grid with its first two coordinates fixed: the 1-D function
+// x ↦ Eval(c0, c1, x) that a bisection along the third axis walks. It holds
+// the loop-invariant part of the corner sum: each of the four (axis 0,
+// axis 1) corner weights a0·a1 and offsets. A call then locates only the
+// third coordinate, multiplies each weight by that axis's weight and sums
+// the eight corners, axis-2 low corners first, skipping zero weights. Eval
+// is a one-shot slice, so this is the grid's only corner sum.
 //
 // A bisection narrows onto one third-axis cell within a few steps, so the
-// slice also keeps the last cell a coordinate fell strictly inside — its
-// bounds, its width and its eight corner values. A coordinate strictly
-// inside that cell gets the fraction Eval's binary search would compute,
-// (x − lo)/(hi − lo), without the search; node hits and coordinates
-// outside the cell take the full path.
+// slice also keeps the last cell a coordinate fell strictly inside and its
+// bounds. A coordinate strictly inside that cell gets the fraction the
+// binary search would compute, (x − lo)/(hi − lo), without the search;
+// node hits and coordinates outside the cell take the full path.
 type Slice struct {
 	g   *Grid
-	w   [4]float64 // (1·a0)·a1 per corner, bit 0 = axis 0 high, bit 1 = axis 1 high
+	w   [4]float64 // a0·a1 per corner, bit 0 = axis 0 high, bit 1 = axis 1 high
 	off [4]int     // flat offset of that corner at third-axis index 0
 
-	cell     int        // cached third-axis cell (-1: none)
-	lo, hi   float64    // its bounds
-	width    float64    // hi − lo
-	vlo, vhi [4]float64 // corner values at its low and high edge
+	cell          int     // cached third-axis cell (-1: none)
+	lo, hi, width float64 // its bounds and hi − lo
 }
 
-// Slice fixes the first two coordinates of a rank-3 grid.
+// Slice fixes the first two coordinates.
 func (g *Grid) Slice(c0, c1 float64) Slice {
-	if len(g.axes) != 3 {
-		panic(fmt.Sprintf("table: slice of a rank-%d grid, want rank 3", len(g.axes)))
-	}
 	i0, f0 := g.locate(0, c0)
 	i1, f1 := g.locate(1, c1)
-	s := Slice{g: g, cell: -1}
-	for corner := 0; corner < 4; corner++ {
-		w := 1.0
-		i, j := i0, i1
-		if corner&1 != 0 {
-			if len(g.axes[0]) > 1 {
-				i++
-			}
-			w *= f0
-		} else {
-			w *= 1 - f0
-		}
-		if corner&2 != 0 {
-			if len(g.axes[1]) > 1 {
-				j++
-			}
-			w *= f1
-		} else {
-			w *= 1 - f1
-		}
-		s.w[corner] = w
-		s.off[corner] = i*g.stride[0] + j*g.stride[1]
+	// A single-point axis keeps its high corner on the one node.
+	h0, h1 := i0, i1
+	if len(g.axes[0]) > 1 {
+		h0++
 	}
-	return s
+	if len(g.axes[1]) > 1 {
+		h1++
+	}
+	return Slice{
+		g:    g,
+		w:    [4]float64{(1 - f0) * (1 - f1), f0 * (1 - f1), (1 - f0) * f1, f0 * f1},
+		off:  [4]int{i0*g.s0 + i1*g.s1, h0*g.s0 + i1*g.s1, i0*g.s0 + h1*g.s1, h0*g.s0 + h1*g.s1},
+		cell: -1,
+	}
 }
 
 // Eval interpolates the slice at third coordinate x: bit-identical to the
 // grid's Eval(c0, c1, x).
 func (s *Slice) Eval(x float64) float64 {
 	if s.cell >= 0 && s.lo < x && x < s.hi {
-		return s.sum((x-s.lo)/s.width, &s.vlo, &s.vhi)
+		return s.sum(s.cell, (x-s.lo)/s.width)
 	}
-	return s.locate(x)
+	ax := s.g.axes[2]
+	i, f := s.g.locate(2, x)
+	if ax[i] < x && i+1 < len(ax) && x < ax[i+1] {
+		s.cell, s.lo, s.hi, s.width = i, ax[i], ax[i+1], ax[i+1]-ax[i]
+	}
+	return s.sum(i, f)
 }
 
-// locate is Eval off the cached cell: it searches the third axis, caches
-// the cell when x falls strictly inside one, and sums.
-func (s *Slice) locate(x float64) float64 {
-	g := s.g
-	ax := g.axes[2]
-	i, f := g.locate(2, x)
-	if !(ax[i] < x && i+1 < len(ax) && x < ax[i+1]) {
-		// A node, a clamped coordinate or a single-point axis: the general
-		// corner sum.
-		j := i
-		if len(ax) > 1 {
-			j++
-		}
-		var vlo, vhi [4]float64
-		for corner := range vlo {
-			vlo[corner] = g.values[s.off[corner]+i*g.stride[2]]
-			vhi[corner] = g.values[s.off[corner]+j*g.stride[2]]
-		}
-		return s.sum(f, &vlo, &vhi)
+// sum is the corner sum at third-axis cell i and fraction f.
+func (s *Slice) sum(i int, f float64) float64 {
+	v := s.g.values
+	h := i
+	if len(s.g.axes[2]) > 1 {
+		h++
 	}
-	s.cell, s.lo, s.hi, s.width = i, ax[i], ax[i+1], ax[i+1]-ax[i]
-	for corner := range s.vlo {
-		s.vlo[corner] = g.values[s.off[corner]+i*g.stride[2]]
-		s.vhi[corner] = g.values[s.off[corner]+(i+1)*g.stride[2]]
+	total := 0.0
+	for c, w := range s.w {
+		if w *= 1 - f; w != 0 {
+			total += w * v[s.off[c]+i]
+		}
 	}
-	return s.sum((x-s.lo)/s.width, &s.vlo, &s.vhi)
+	for c, w := range s.w {
+		if w *= f; w != 0 {
+			total += w * v[s.off[c]+h]
+		}
+	}
+	return total
 }
 
 // Boundary bisects for the smallest w in [lo, hi] at which the slice,
@@ -345,23 +257,6 @@ func (s *Slice) Boundary(lo, hi float64, mirrored, rising bool, level float64) (
 	return hi, true
 }
 
-// sum is Eval's corner sum at third-axis fraction f over the corner values
-// at the cell's low and high edge.
-func (s *Slice) sum(f float64, vlo, vhi *[4]float64) float64 {
-	total := 0.0
-	for corner := 0; corner < 4; corner++ {
-		if w := s.w[corner] * (1 - f); w != 0 {
-			total += w * vlo[corner]
-		}
-	}
-	for corner := 0; corner < 4; corner++ {
-		if w := s.w[corner] * f; w != 0 {
-			total += w * vhi[corner]
-		}
-	}
-	return total
-}
-
 // gridJSON is the serialized form.
 type gridJSON struct {
 	Axes   [][]float64 `json:"axes"`
@@ -370,7 +265,7 @@ type gridJSON struct {
 
 // MarshalJSON serializes the grid.
 func (g *Grid) MarshalJSON() ([]byte, error) {
-	return json.Marshal(gridJSON{Axes: g.axes, Values: g.values})
+	return json.Marshal(gridJSON{Axes: g.axes[:], Values: g.values})
 }
 
 // UnmarshalJSON restores a grid.
@@ -379,7 +274,10 @@ func (g *Grid) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	ng, err := New(j.Axes...)
+	if len(j.Axes) != 3 {
+		return fmt.Errorf("table: %d axes, want 3", len(j.Axes))
+	}
+	ng, err := New(j.Axes[0], j.Axes[1], j.Axes[2])
 	if err != nil {
 		return err
 	}

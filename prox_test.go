@@ -152,7 +152,7 @@ func TestMinPulseWidthFacade(t *testing.T) {
 // threshold the facade reports (+Inf, false), never 0.
 func TestMinPulseWidthNeverCompletes(t *testing.T) {
 	g := table.MustNew([]float64{50e-12, 2e-9}, []float64{50e-12, 2e-9}, table.LinSpace(50e-12, 2.5e-9, 5))
-	g.Fill(func([]float64) (float64, error) { return 1.0, nil }) // peak 1 V, below Vih
+	g.Fill(func(_, _, _ float64) (float64, error) { return 1.0, nil }) // peak 1 V, below Vih
 	data := macromodel.SynthModel("nand", 2)
 	data.Pulses = []*macromodel.PulseModel{{Pin: 0, FirstDir: waveform.Falling, PositiveGoing: true, Extreme: g}}
 	w, ok, err := (&Model{Data: data}).MinPulseWidth(0, 200*Picosecond, 200*Picosecond)
