@@ -92,21 +92,6 @@ func TestTTWindowWiderThanDelayWindow(t *testing.T) {
 	}
 }
 
-func TestWindows(t *testing.T) {
-	r := getRig(t)
-	d, err := r.calc.DelayWindow(0, waveform.Falling, 300e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := r.calc.TTWindow(0, waveform.Falling, 300e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(tw > d && d > 0) {
-		t.Errorf("windows: delay %.1fps, tt %.1fps — want 0 < delay < tt", d*1e12, tw*1e12)
-	}
-}
-
 // TestCorrectionImprovesStepCase: with the correction the simultaneous-step
 // configuration is exact by construction; without it the error is larger.
 func TestCorrectionImprovesStepCase(t *testing.T) {

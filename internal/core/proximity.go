@@ -491,17 +491,3 @@ func (c *Calculator) SingleDelay(pin int, dir waveform.Direction, tau float64) (
 	delay, outTT = s.At(tau)
 	return delay, outTT, nil
 }
-
-// DelayWindow returns the proximity window within which a second input can
-// still influence the delay caused by (pin, dir, tau): Δ(1).
-func (c *Calculator) DelayWindow(pin int, dir waveform.Direction, tau float64) (float64, error) {
-	d, _, err := c.SingleDelay(pin, dir, tau)
-	return d, err
-}
-
-// TTWindow returns the proximity window for transition-time influence:
-// Δ(1) + τ(1)_out.
-func (c *Calculator) TTWindow(pin int, dir waveform.Direction, tau float64) (float64, error) {
-	d, tt, err := c.SingleDelay(pin, dir, tau)
-	return d + tt, err
-}

@@ -222,12 +222,6 @@ func TestNormalizedForms(t *testing.T) {
 			t.Errorf("normalized load not decreasing: u[%d]=%g u[%d]=%g", i-1, u[i-1], i, u[i])
 		}
 	}
-	_, ttOverTau := s.NormalizedOutTT()
-	for _, v := range ttOverTau {
-		if v <= 0 {
-			t.Errorf("non-positive normalized transition time %g", v)
-		}
-	}
 }
 
 func TestCausationMapping(t *testing.T) {

@@ -169,16 +169,6 @@ func (m *SingleInputModel) NormalizedDelay() (u, dOverTau []float64) {
 	return u, dOverTau
 }
 
-// NormalizedOutTT returns the equation-(3.8) view: pairs (u, τ_out/τ).
-func (m *SingleInputModel) NormalizedOutTT() (u, ttOverTau []float64) {
-	u = append([]float64(nil), m.NormLoad...)
-	ttOverTau = make([]float64, len(m.OutTT))
-	for i := range m.OutTT {
-		ttOverTau[i] = m.OutTT[i] / m.TauAxis[i]
-	}
-	return u, ttOverTau
-}
-
 // DefaultTauGrid returns the characterization grid used throughout the repo:
 // log-spaced input transition times covering the paper's 50 ps – 2000 ps
 // experimental range with margin.

@@ -48,9 +48,8 @@ type Delta struct {
 // both in place.
 func cloneForDelta(baseline *Result) *Result {
 	st := baseline.Stats
-	// The walk sets the rest afresh, into a per-level table of its own.
+	// The walk sets the rest afresh.
 	st.Phases, st.Wall = obs.PhaseTimes{}, 0
-	st.PerLevel = make([]LevelStat, len(st.PerLevel))
 	return &Result{
 		Mode:           baseline.Mode,
 		Stats:          st,

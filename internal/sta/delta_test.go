@@ -306,12 +306,12 @@ func TestDeltaRejectsBaselineAcrossForwardNetEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets := c.NumNets()
+	nets := len(c.NetsByName())
 	if _, err := c.AddGate("g2", "inv", "fwd", b); err != nil {
 		t.Fatal(err)
 	}
-	if c.NumNets() != nets {
-		t.Fatalf("edit changed the net count %d -> %d; the test wants it unchanged", nets, c.NumNets())
+	if n := len(c.NetsByName()); n != nets {
+		t.Fatalf("edit changed the net count %d -> %d; the test wants it unchanged", nets, n)
 	}
 	after := compile(t, c)
 	nudge := sta.Delta{Set: []sta.PIEvent{{Net: a, Dir: waveform.Rising, Time: 5e-12, TT: 200e-12}}}

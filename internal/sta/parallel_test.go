@@ -214,9 +214,6 @@ func TestAnalyzeStats(t *testing.T) {
 		s.ProximityEvals != 1 || s.SingleArcEvals != 1 {
 		t.Fatalf("stats %+v", s)
 	}
-	if len(s.PerLevel) != 2 || s.PerLevel[0].Gates != 1 || s.PerLevel[1].Gates != 1 {
-		t.Fatalf("per-level stats %+v", s.PerLevel)
-	}
 }
 
 // TestLevelsSchedule: levelization depths on a known diamond.

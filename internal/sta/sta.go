@@ -139,10 +139,6 @@ func (c *Circuit) net(name string) *Net {
 	return n
 }
 
-// NumNets returns how many nets the circuit currently holds. Net IDs are
-// dense in [0, NumNets).
-func (c *Circuit) NumNets() int { return len(c.nets) }
-
 // Net returns an existing net by name (nil if undeclared).
 func (c *Circuit) Net(name string) *Net { return c.nets[name] }
 
@@ -345,12 +341,6 @@ func defaultWorkers() int {
 	return n
 }
 
-// LevelStat records one topological level's share of an analysis.
-type LevelStat struct {
-	Gates int
-	Wall  time.Duration
-}
-
 // Stats counts what an analysis actually did, so benchmarks and reports
 // have something to read beyond arrival times.
 type Stats struct {
@@ -388,10 +378,6 @@ type Stats struct {
 	// (Glitch(p, p) is never characterized). The pair propagates untouched;
 	// the counter makes the multi-level chaining blind spot observable.
 	PulsesUnjudged int
-	// PerLevel has one entry per topological level; Gates is the number of
-	// gates the walk ran at that level (levels it never reached record
-	// zero).
-	PerLevel []LevelStat
 	// Phases breaks the analysis wall time into the engine's accounting
 	// buckets (consumer-table build, schedule, seed, eval, commit). The
 	// buckets are disjoint intervals, so Phases.Sum() <= Wall. Always on:
@@ -807,16 +793,6 @@ func (g *Gate) eval(evs []core.InputEvent, outDir waveform.Direction, mode Mode,
 		a.TT = r.OutTT * mult
 	}
 	return a, nil
-}
-
-// Slack returns required − arrival for a net/direction; ok is false when
-// the net never transitions that way.
-func (r *Result) Slack(n *Net, dir waveform.Direction, required float64) (float64, bool) {
-	a, ok := r.Arrival(n, dir)
-	if !ok {
-		return 0, false
-	}
-	return required - a.Time, true
 }
 
 // WorstSlack returns the minimum slack over the given nets (both

@@ -263,7 +263,7 @@ func (st *Stats) countRaw(raw dirArrivals, sign int) {
 // evaluation is race-free by construction; the commit runs serially in
 // netlist order, so arrivals, verdicts and the first error reported are
 // those of a serial walk. The context is polled before every non-empty
-// level. res.Stats.PerLevel must hold one zeroed entry per level, its own.
+// level.
 //
 // A panic anywhere in the walk is returned as an error wrapping ErrPanic:
 // runGate names the gate whose evaluation panicked, and a panic in the
@@ -488,11 +488,9 @@ func (p *Compiled) walk(ctx context.Context, res, base *Result, opt Options, s *
 			*res.slot(g.Out) = next
 			p.enqueue(g.Out.id, s)
 		}
-		end := time.Now()
-		res.Stats.Phases.Add(obs.PhaseCommit, end.Sub(commitStart)-glitchWall)
+		res.Stats.Phases.Add(obs.PhaseCommit, time.Since(commitStart)-glitchWall)
 		res.Stats.Phases.Add(obs.PhaseGlitch, glitchWall)
 		commitSpan.End()
-		res.Stats.PerLevel[li] = LevelStat{Gates: len(bucket), Wall: end.Sub(start)}
 		levelSpan.End()
 	}
 	res.Stats.GatesScheduled = ran
@@ -504,13 +502,11 @@ func (p *Compiled) walk(ctx context.Context, res, base *Result, opt Options, s *
 }
 
 // newResult returns an empty result of this handle for a vector of n
-// events: the index spans the netlist, the slab starts at two slots per
-// event, and the per-level table has one zeroed entry per level, which the
-// walk fills.
+// events: the index spans the netlist and the slab starts at two slots per
+// event.
 func (p *Compiled) newResult(mode Mode, pulseFiltering bool, n int) *Result {
 	return &Result{
 		Mode:           mode,
-		Stats:          Stats{PerLevel: make([]LevelStat, len(p.levels))},
 		handle:         p.id,
 		pulseFiltering: pulseFiltering,
 		idx:            make([]int32, p.numNets),
@@ -520,8 +516,8 @@ func (p *Compiled) newResult(mode Mode, pulseFiltering bool, n int) *Result {
 
 // reset empties a result whose last analysis was a full one of events, in
 // place, for another full analysis of the same vector. It zeroes everything
-// that analysis computed and keeps the backing of the index, the slab, the
-// per-level table and the pulse maps. Of the index it zeroes only the
+// that analysis computed and keeps the backing of the index, the slab and
+// the pulse maps. Of the index it zeroes only the
 // entries the analysis wrote: the vector's nets, and the output net of every
 // slot's driving gate (every arrival a gate committed names it), so a reset
 // costs what the analysis' cone cost, not the netlist.
@@ -540,10 +536,8 @@ func (r *Result) reset(events []PIEvent) {
 	}
 	clear(r.pulses)
 	clear(r.pulseRaw)
-	clear(r.Stats.PerLevel)
 	*r = Result{
 		Mode:           r.Mode,
-		Stats:          Stats{PerLevel: r.Stats.PerLevel},
 		handle:         r.handle,
 		pulseFiltering: r.pulseFiltering,
 		idx:            r.idx,
