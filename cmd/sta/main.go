@@ -46,6 +46,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -299,7 +300,7 @@ func run(netPath, eventSpec, charList, modelList, mode string, full bool, loadFF
 				ne.Format(os.Stdout)
 			}
 		}
-		printStats(res.Stats)
+		printStats(os.Stdout, res.Stats)
 
 		if wantDelta {
 			dres, err := p.AnalyzeDelta(context.Background(), res, delta, opt)
@@ -328,7 +329,7 @@ func run(netPath, eventSpec, charList, modelList, mode string, full bool, loadFF
 			}
 			fmt.Printf("delta: re-evaluated %d gates, reused %d baseline arrivals\n",
 				dres.Stats.GatesReevaluated, dres.Stats.GatesReused)
-			printStats(dres.Stats)
+			printStats(os.Stdout, dres.Stats)
 		}
 	}
 	return nil
@@ -433,21 +434,23 @@ func parseBatch(c *sta.Circuit, eventSpec string) ([][]sta.PIEvent, error) {
 }
 
 // printStats summarizes what the analysis did and where the time went.
-func printStats(s sta.Stats) {
-	fmt.Printf("evaluated %d of %d scheduled gates over %d levels (%d proximity, %d single-arc evals), %d workers\n",
+func printStats(w io.Writer, s sta.Stats) {
+	fmt.Fprintf(w, "evaluated %d of %d scheduled gates over %d levels (%d proximity, %d single-arc evals), %d workers\n",
 		s.GatesEvaluated, s.GatesScheduled, s.Levels, s.ProximityEvals, s.SingleArcEvals, s.Workers)
 	if s.PulsesFiltered > 0 || s.PulsesDegraded > 0 || s.PulsesUnjudged > 0 {
-		fmt.Printf("pulse filtering: absorbed %d runt pulses, degraded %d, unjudged %d (no glitch model)\n",
+		fmt.Fprintf(w, "pulse filtering: absorbed %d runt pulses, degraded %d, unjudged %d (no glitch model)\n",
 			s.PulsesFiltered, s.PulsesDegraded, s.PulsesUnjudged)
 	}
 	if s.Wall > 0 {
-		fmt.Printf("phases:")
+		fmt.Fprintf(w, "phases:")
 		for _, p := range obs.Phases() {
-			if d := s.Phases[p]; d > 0 {
-				fmt.Printf(" %s=%s", p, d.Round(time.Microsecond))
+			// Rounded before the filter, so a phase under half a
+			// microsecond is left out rather than printed as 0s.
+			if d := s.Phases[p].Round(time.Microsecond); d > 0 {
+				fmt.Fprintf(w, " %s=%s", p, d)
 			}
 		}
-		fmt.Printf(" wall=%s\n", s.Wall.Round(time.Microsecond))
+		fmt.Fprintf(w, " wall=%s\n", s.Wall.Round(time.Microsecond))
 	}
 }
 
@@ -476,7 +479,7 @@ func runBatch(p *sta.Compiled, batch [][]sta.PIEvent, modes []sta.Mode, opt sta.
 			fmt.Println()
 		}
 		if len(results) > 0 {
-			printStats(results[0].Stats)
+			printStats(os.Stdout, results[0].Stats)
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/macromodel"
@@ -255,5 +256,22 @@ func TestTraceFileIsValidChrome(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("trace file is empty")
+	}
+}
+
+// TestPrintStatsRoundsBeforeFiltering: the phases line rounds each phase to
+// the microsecond before it drops empty ones, so a phase under half a
+// microsecond is left out instead of printed as "cones=0s".
+func TestPrintStatsRoundsBeforeFiltering(t *testing.T) {
+	var s sta.Stats
+	s.Phases[obs.PhaseCones] = 400 * time.Nanosecond
+	s.Phases[obs.PhaseSeed] = 600 * time.Nanosecond
+	s.Phases[obs.PhaseEval] = 1500 * time.Microsecond
+	s.Wall = 2 * time.Millisecond
+	var b strings.Builder
+	printStats(&b, s)
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if got, want := lines[len(lines)-1], "phases: seed=1µs eval=1.5ms wall=2ms"; got != want {
+		t.Errorf("phases line %q, want %q", got, want)
 	}
 }
