@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -83,6 +85,42 @@ func TestTrailingGarbageRejected(t *testing.T) {
 		`{"netlist":"`+up.ID+`","vector":[{"net":"a","dir":"rise","ttPs":NaN,"timePs":0}]}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("NaN literal answered %d, want 400", code)
+	}
+}
+
+// TestOversizedBodyIs413: a body one byte over the endpoint's limit is
+// refused 413 naming the limit, wherever the limit cuts it (inside the
+// document or in what follows it); a body at the limit is read.
+func TestOversizedBodyIs413(t *testing.T) {
+	const analyzeLimit = 16 << 20 // New's cap on /v1/analyze bodies
+	s, ts := newTestServer(t, Config{})
+	up := uploadTestNetlist(t, ts.URL)
+	doc, err := json.Marshal(AnalyzeRequest{Netlist: up.ID, Vector: testVector(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := func(prefix []byte, n int) string { return string(prefix) + strings.Repeat(" ", n-len(prefix)) }
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"unterminated document", `{"netlist":"` + strings.Repeat("n", analyzeLimit+1-len(`{"netlist":"`)), http.StatusRequestEntityTooLarge},
+		{"document then padding", pad(doc, analyzeLimit+1), http.StatusRequestEntityTooLarge},
+		{"document padded to the limit", pad(doc, analyzeLimit), http.StatusOK},
+	} {
+		if len(tc.body) != analyzeLimit && len(tc.body) != analyzeLimit+1 {
+			t.Fatalf("%s: body of %d bytes", tc.name, len(tc.body))
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(tc.body)))
+		var er ErrorResponse
+		json.Unmarshal(rec.Body.Bytes(), &er)
+		if rec.Code != tc.status {
+			t.Fatalf("%s: status %d (%s), want %d", tc.name, rec.Code, er.Error, tc.status)
+		}
+		if tc.status == http.StatusRequestEntityTooLarge && !strings.Contains(er.Error, strconv.Itoa(analyzeLimit)) {
+			t.Fatalf("%s: error %q does not name the %d-byte limit", tc.name, er.Error, analyzeLimit)
+		}
 	}
 }
 

@@ -1,13 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/macromodel"
+	"repro/internal/sta"
+	"repro/internal/waveform"
 )
 
 // fuzzPaths are the POST endpoints FuzzServerJSON exercises. The selector
@@ -109,6 +113,57 @@ func FuzzServerJSON(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
 				t.Fatalf("%s %d answer is not an ErrorResponse: %q", path, rec.Code, rec.Body)
 			}
+		}
+	})
+}
+
+// FuzzAnswerEncoder checks the answer encoder against encoding/json: a
+// vector of one arrival (net name, direction, time and transition time in
+// picoseconds, used inputs) and its counters, pulse counters included,
+// must encode exactly as json.Marshal encodes the VectorResult. Non-finite
+// times are out of its domain: an answer refuses them before encoding.
+func FuzzAnswerEncoder(f *testing.F) {
+	for _, s := range []struct {
+		net                          string
+		rising                       bool
+		timePs, ttPs                 float64
+		used, filt, degraded, unjudg int
+	}{
+		{"n12", true, 733.2, 301.5, 2, 0, 0, 0},
+		{"a<b>&c", false, 0, 1e-7, 1, 3, 0, 1},
+		{`q"\r`, true, math.Copysign(0, -1), 1e-6, 0, 0, 2, 0},
+		{"é  \xff\x01\t\x7f", false, 9.99e-7, 1e21, 3, 1, 1, 1},
+		{"", true, -1e-9, 1e20, -1, -2, 0, 0},
+		{"net_", false, 5e-324, math.MaxFloat64, 1 << 40, 0, 0, 7},
+		{strings.Repeat("z", 300), true, 123456789.125, 1.5e-300, 8, 0, 0, 0},
+	} {
+		f.Add(s.net, s.rising, s.timePs, s.ttPs, s.used, s.filt, s.degraded, s.unjudg)
+	}
+	f.Fuzz(func(t *testing.T, net string, rising bool, timePs, ttPs float64, used, filtered, degraded, unjudged int) {
+		dir := waveform.Falling
+		if rising {
+			dir = waveform.Rising
+		}
+		st := sta.Stats{GatesEvaluated: 5, ProximityEvals: 2, SingleArcEvals: 3,
+			PulsesFiltered: filtered, PulsesDegraded: degraded, PulsesUnjudged: unjudged}
+		want, err := json.Marshal(VectorResult{
+			Arrivals:       []Arrival{{Net: net, Dir: dir.String(), TimePs: timePs, TTPs: ttPs, UsedInputs: used}},
+			GatesEvaluated: st.GatesEvaluated, ProximityEvals: st.ProximityEvals, SingleArcEvals: st.SingleArcEvals,
+			PulsesFiltered: filtered, PulsesDegraded: degraded, PulsesUnjudged: unjudged,
+		})
+		if !finite(timePs) || !finite(ttPs) {
+			if err == nil {
+				t.Fatalf("json.Marshal encoded a non-finite time: %s", want)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := append([]byte(`{"arrivals":[`), appendArrival(nil, net, dir, timePs, ttPs, used)...)
+		got = append(appendCounters(append(got, ']'), &st), '}')
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encoder wrote\n%q\nencoding/json wrote\n%q", got, want)
 		}
 	})
 }

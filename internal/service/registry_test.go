@@ -16,7 +16,7 @@ import (
 
 // writeSynthLibrary fills dir with synthetic characterized models (the same
 // JSON shape charz emits) and returns the directory.
-func writeSynthLibrary(t *testing.T, dir string, cells ...string) {
+func writeSynthLibrary(t testing.TB, dir string, cells ...string) {
 	t.Helper()
 	for _, cell := range cells {
 		var m *macromodel.GateModel

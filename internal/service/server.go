@@ -782,7 +782,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 // decodeBody decodes a JSON request body with a size cap; analyze bodies
 // are small, netlists can be large but bounded. The body must be exactly
 // one JSON document: trailing garbage (`{"netlist":"n1"}{"junk":1}`) is an
-// error, not silently ignored half-read.
+// error, not silently ignored half-read. A body over the cap fails with
+// the *http.MaxBytesError, wherever the cap cut it.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
@@ -791,6 +792,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) erro
 		return err
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return err
+		}
 		return fmt.Errorf("trailing data after JSON document")
 	}
 	return nil
@@ -852,8 +857,10 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 
 // call is one request on its way through the pipeline: decode, the
 // endpoint's own checks, resolve, admit (Monte-Carlo only; guarded
-// endpoints were admitted before decode), the engine call, account, build
-// and encode. A failing stage returns an error, which fail answers.
+// endpoints were admitted before decode), the engine call, account and
+// encode (the vector answers stream straight from their results; the
+// others build a wire struct). A failing stage returns an error, which fail
+// answers.
 type call struct {
 	s        *Server
 	w        http.ResponseWriter
@@ -866,12 +873,19 @@ type call struct {
 }
 
 // serve runs one endpoint through the pipeline: it decodes the body,
-// answering a malformed one 400 itself, hands the request to run, and
-// encodes run's answer or answers its error.
+// answering a body over the endpoint's limit 413 and a malformed one 400
+// itself, hands the request to run, and streams run's vector answer,
+// encodes any other answer, or answers its error.
 func serve[Req any](s *Server, limit int64, run func(*call, *Req) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		if err := decodeBody(w, r, &req, limit); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge, "request body too large: %s takes at most %d bytes",
+					r.URL.Path, tooLarge.Limit)
+				return
+			}
 			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
@@ -880,6 +894,10 @@ func serve[Req any](s *Server, limit int64, run func(*call, *Req) (any, error)) 
 		resp, err := run(c, &req)
 		if err != nil {
 			s.fail(w, err)
+			return
+		}
+		if a, ok := resp.(*vectorAnswer); ok {
+			a.writeTo(w)
 			return
 		}
 		writeJSON(w, resp)
@@ -1053,11 +1071,14 @@ func (s *Server) handleAnalyze(c *call, req *AnalyzeRequest) (any, error) {
 		return nil, err
 	}
 	c.account(&res.Stats, 0)
-	resp := AnalyzeResponse{Mode: c.mode.String(), VectorResult: c.vector(res), Trace: c.inlineTrace()}
-	if req.KeepBaseline {
-		resp.BaselineID = s.storeBaseline(req.Netlist, res)
+	a, err := c.answer(analyzeAnswer, c.mode.String(), res)
+	if err != nil {
+		return nil, err
 	}
-	return resp, nil
+	if req.KeepBaseline {
+		a.baselineID = s.storeBaseline(req.Netlist, res)
+	}
+	return a, nil
 }
 
 // handleDelta re-times a cached baseline under a stimulus edit via the
@@ -1085,17 +1106,14 @@ func (s *Server) handleDelta(c *call, req *DeltaRequest) (any, error) {
 		return nil, err
 	}
 	c.account(&res.Stats, 0)
-	resp := DeltaResponse{
-		Mode:             res.Mode.String(),
-		VectorResult:     c.vector(res),
-		GatesReevaluated: res.Stats.GatesReevaluated,
-		GatesReused:      res.Stats.GatesReused,
-		Trace:            c.inlineTrace(),
+	a, err := c.answer(deltaAnswer, res.Mode.String(), res)
+	if err != nil {
+		return nil, err
 	}
 	if req.KeepBaseline {
-		resp.BaselineID = s.storeBaseline(bl.netlistID, res)
+		a.baselineID = s.storeBaseline(bl.netlistID, res)
 	}
-	return resp, nil
+	return a, nil
 }
 
 // wantTrace reports whether the request opted into span recording.
@@ -1200,12 +1218,10 @@ func (s *Server) handleBatch(c *call, req *BatchRequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := BatchResponse{Mode: c.mode.String(), Results: make([]VectorResult, len(results))}
-	for i, res := range results {
+	for _, res := range results {
 		c.account(&res.Stats, 0)
-		resp.Results[i] = c.vector(res)
 	}
-	return resp, nil
+	return c.answer(batchAnswer, c.mode.String(), results...)
 }
 
 // maxMCSamples bounds a single Monte-Carlo request; beyond it the caller
@@ -1267,7 +1283,7 @@ func (s *Server) handleMC(c *call, req *MCRequest) (any, error) {
 	}
 	c.account(&res.Stats, res.Samples)
 
-	resp := MCResponse{
+	resp := mcAnswer{
 		Mode: res.Mode.String(), Samples: res.Samples, Seed: res.Seed, Sigma: res.Sigma,
 		Outputs:        make([]MCOutputDist, 0, len(res.Outputs)),
 		Criticality:    make([]MCCriticality, 0, len(res.Criticality)),
@@ -1301,12 +1317,39 @@ func (s *Server) handleMC(c *call, req *MCRequest) (any, error) {
 			PAbsorbed: gc.PAbsorbed, PDegraded: gc.PDegraded,
 		})
 	}
+	nets := c.reported()
 	for _, cr := range res.Corners {
-		resp.Corners = append(resp.Corners, MCCornerWire{
-			Name: cr.Name, Multiplier: cr.Multiplier, Arrivals: c.vector(cr.Result).Arrivals,
-		})
+		arrivals, err := cornerArrivals(cr.Result, nets)
+		if err != nil {
+			return nil, err
+		}
+		resp.Corners = append(resp.Corners, mcCorner{Name: cr.Name, Multiplier: cr.Multiplier, Arrivals: arrivals})
 	}
 	return resp, nil
+}
+
+// mcAnswer is MCResponse as the server writes it: the same fields, tags and
+// order, with each corner's arrivals encoded straight from its result.
+type mcAnswer struct {
+	Mode              string                `json:"mode"`
+	Samples           int                   `json:"samples"`
+	Seed              uint64                `json:"seed"`
+	Sigma             float64               `json:"sigma"`
+	Outputs           []MCOutputDist        `json:"outputs"`
+	Criticality       []MCCriticality       `json:"criticality"`
+	GlitchCriticality []MCGlitchCriticality `json:"glitchCriticality,omitempty"`
+	Corners           []mcCorner            `json:"corners,omitempty"`
+	GatesEvaluated    int                   `json:"gatesEvaluated"`
+	PulsesFiltered    int                   `json:"pulsesFiltered,omitempty"`
+	PulsesDegraded    int                   `json:"pulsesDegraded,omitempty"`
+	PulsesUnjudged    int                   `json:"pulsesUnjudged,omitempty"`
+}
+
+// mcCorner is MCCornerWire as the server writes it.
+type mcCorner struct {
+	Name       string          `json:"name"`
+	Multiplier float64         `json:"multiplier"`
+	Arrivals   json.RawMessage `json:"arrivals"`
 }
 
 // handleHealthz answers liveness plus occupancy: how full each LRU cache is
@@ -1474,44 +1517,4 @@ func resolveDelta(c *sta.Circuit, set []Event, remove []RemoveEvent) (sta.Delta,
 		delta.Remove = append(delta.Remove, sta.DeltaRemove{Net: n, Dir: dir})
 	}
 	return delta, nil
-}
-
-// vector flattens a Result into wire arrivals: primary outputs by default,
-// every net when the call's scope is all. Arrivals are listed in
-// deterministic order (output declaration order, or sorted net names) and
-// marshal as [] rather than null when empty.
-func (c *call) vector(res *sta.Result) VectorResult {
-	circuit := c.compiled.Circuit()
-	vr := VectorResult{
-		Arrivals:       []Arrival{},
-		GatesEvaluated: res.Stats.GatesEvaluated,
-		ProximityEvals: res.Stats.ProximityEvals,
-		SingleArcEvals: res.Stats.SingleArcEvals,
-		PulsesFiltered: res.Stats.PulsesFiltered,
-		PulsesDegraded: res.Stats.PulsesDegraded,
-		PulsesUnjudged: res.Stats.PulsesUnjudged,
-	}
-	appendNet := func(n *sta.Net) {
-		for _, dir := range []waveform.Direction{waveform.Rising, waveform.Falling} {
-			if a, ok := res.Arrival(n, dir); ok {
-				vr.Arrivals = append(vr.Arrivals, Arrival{
-					Net:        n.Name,
-					Dir:        dir.String(),
-					TimePs:     a.Time * 1e12,
-					TTPs:       a.TT * 1e12,
-					UsedInputs: a.UsedInputs,
-				})
-			}
-		}
-	}
-	if c.nets == netsAll {
-		for _, name := range circuit.NetsByName() {
-			appendNet(circuit.Net(name))
-		}
-	} else {
-		for _, po := range circuit.POs {
-			appendNet(po)
-		}
-	}
-	return vr
 }
