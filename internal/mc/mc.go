@@ -134,14 +134,21 @@ type Dist struct {
 // sort), so the result is bit-identical regardless of how the samples were
 // produced or ordered.
 func NewDist(values []float64, bins int) Dist {
-	if bins <= 0 {
-		bins = 16
-	}
 	xs := make([]float64, 0, len(values))
 	for _, v := range values {
 		if !math.IsNaN(v) {
 			xs = append(xs, v)
 		}
+	}
+	return SortedDist(xs, bins)
+}
+
+// SortedDist is NewDist for a sample slice without NaNs that it may
+// reorder: it sorts xs in place instead of copying it first, and returns
+// what NewDist returns for the same values.
+func SortedDist(xs []float64, bins int) Dist {
+	if bins <= 0 {
+		bins = 16
 	}
 	if len(xs) == 0 {
 		return Dist{}

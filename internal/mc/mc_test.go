@@ -2,6 +2,8 @@ package mc
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -171,5 +173,33 @@ func TestNewDistOrderInvariant(t *testing.T) {
 	da, db := NewDist(a, 4), NewDist(b, 4)
 	if da.Mean != db.Mean || da.P95 != db.P95 || da.Std != db.Std {
 		t.Fatalf("order-dependent aggregation: %+v vs %+v", da, db)
+	}
+}
+
+// SortedDist on a NaN-free copy returns NewDist's distribution bit for bit,
+// histogram included, while NewDist leaves its input as it was.
+func TestSortedDistMatchesNewDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		values := make([]float64, 1+rng.Intn(300))
+		var xs []float64
+		for i := range values {
+			values[i] = math.NaN()
+			if rng.Intn(4) > 0 {
+				values[i] = (200 + 50*rng.NormFloat64()) * 1e-12
+				xs = append(xs, values[i])
+			}
+		}
+		before := append([]float64(nil), values...)
+		want := NewDist(values, 8)
+		got := SortedDist(xs, 8)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: SortedDist %+v, NewDist %+v", trial, got, want)
+		}
+		for i := range values {
+			if math.Float64bits(values[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("trial %d: NewDist modified its input at %d", trial, i)
+			}
+		}
 	}
 }

@@ -117,10 +117,11 @@ var benchRows = []benchRow{
 		name: "mc_sample_bytes", what: "bytes allocated per sample of a serial 1,024-sample MC run on the tile-local vector (BenchmarkMC/amortized-1024)",
 		margin: bytesMargin,
 		read: func(tb testing.TB, f *guardFixture) []float64 {
-			// Four calls a pass: now and then a call finds the handle's
-			// scratch pool empty (after a collection, or on another P) and
-			// allocates a ~200 KB scratch, which on one call alone reads a
-			// quarter above the rest.
+			// Four calls a pass: each call takes its worker's scratch from
+			// the handle's pool once, and now and then finds the pool empty
+			// (the scratch was put back on another P) and allocates a
+			// ~200 KB scratch, which on one call alone reads over a third
+			// above the rest, and on one call of four a tenth.
 			return []float64{side{mcOp(f.p, f.local), 4, mcBenchSamples}.bytes(tb)}
 		},
 	},

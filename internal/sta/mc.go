@@ -146,29 +146,33 @@ func (p *Compiled) mcOutputs(events []PIEvent) []*Net {
 }
 
 // An mcWorker runs samples of one vector, one after another, through one
-// recycled Result. Each sample resets it in place (Result.reset) and seeds
-// the vector again, so a sample allocates nothing and costs what its cone
-// costs. The Result must never leave its sample: the sample's arrivals go
-// into the slab, and its verdicts and critical path into the votes, before
-// the next sample resets it.
+// recycled Result and one scratch taken from the handle's pool, both held
+// until the call's samples are done (release). Each sample resets the
+// Result in place (Result.reset) and seeds the vector again, so a sample
+// allocates nothing and costs what its cone costs. The Result must never
+// leave its sample: the sample's arrivals go into the slab, and its
+// verdicts and critical path into the votes, before the next sample resets
+// it.
 type mcWorker struct {
-	p      *Compiled
-	events []PIEvent
-	res    *Result
-	opt    Options // the samples' options: a serial walk, Perturb bound once
-	seed   uint64
-	sigma  float64
-	si     int // the sample being run, whose deviates multiplier draws
+	p       *Compiled
+	events  []PIEvent
+	res     *Result
+	scratch *evalScratch
+	opt     Options // the samples' options: a serial walk, Perturb bound once
+	seed    uint64
+	sigma   float64
+	si      int // the sample being run, whose deviates multiplier draws
 }
 
 func (p *Compiled) newMCWorker(events []PIEvent, mode Mode, opt MCOptions) *mcWorker {
 	w := &mcWorker{
-		p:      p,
-		events: events,
-		res:    p.newResult(mode, opt.PulseFiltering, len(events)),
-		opt:    Options{Workers: 1, PulseFiltering: opt.PulseFiltering},
-		seed:   opt.Seed,
-		sigma:  opt.Sigma,
+		p:       p,
+		events:  events,
+		res:     p.newResult(mode, opt.PulseFiltering, len(events)),
+		scratch: p.scratch.Get().(*evalScratch),
+		opt:     Options{Workers: 1, PulseFiltering: opt.PulseFiltering},
+		seed:    opt.Seed,
+		sigma:   opt.Sigma,
 	}
 	if opt.Sigma != 0 {
 		w.opt.Perturb = w.multiplier
@@ -189,17 +193,18 @@ func (w *mcWorker) check() error {
 	if len(w.events) == 0 {
 		return errEmptyVector
 	}
-	s := w.p.scratch.Get().(*evalScratch)
-	defer w.p.scratch.Put(s)
-	return w.p.seed(w.res, w.events, nil, s, "")
+	return w.p.seed(w.res, w.events, nil, w.scratch, "")
 }
+
+// release returns the worker's scratch to the handle's pool.
+func (w *mcWorker) release() { w.p.scratch.Put(w.scratch) }
 
 // sample analyzes sample si into the worker's result and returns it, valid
 // until the worker's next sample.
 func (w *mcWorker) sample(ctx context.Context, si int) (*Result, error) {
 	w.si = si
 	w.res.reset(w.events)
-	if err := w.p.analyzeInto(ctx, w.res, w.events, w.opt, int64(si)); err != nil {
+	if err := w.p.analyzeInto(ctx, w.res, w.events, w.opt, w.scratch, int64(si)); err != nil {
 		return nil, err
 	}
 	return w.res, nil
@@ -233,6 +238,16 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	// count is allocated, under the name of the sample that would have
 	// reported it.
 	first := p.newMCWorker(events, mode, opt)
+	ws := []*mcWorker{first}
+	// The workers' scratches go back to the pool when the samples are
+	// done, so the corners walk with them, or on an early return.
+	release := func() {
+		for _, w := range ws {
+			w.release()
+		}
+		ws = nil
+	}
+	defer release()
 	if err := first.check(); err != nil {
 		return nil, fmt.Errorf("sta: mc sample 0: %w", err)
 	}
@@ -338,13 +353,14 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 
 	// One worker, and so one recycled result, per goroutine.
 	workers := workerCount(opt.Workers, opt.Samples)
-	ws := []*mcWorker{first}
 	for len(ws) < workers {
 		ws = append(ws, p.newMCWorker(events, mode, opt))
 	}
-	if si, err := runEach(opt.Samples, workers, func(w, si int) error {
+	si, err := runEach(opt.Samples, workers, func(w, si int) error {
 		return runSample(ws[w], si)
-	}); err != nil {
+	})
+	release()
+	if err != nil {
 		return nil, fmt.Errorf("sta: mc sample %d: %w", si, err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -354,17 +370,23 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	out := &MCResult{Mode: mode, Samples: opt.Samples, Seed: opt.Seed, Sigma: opt.Sigma}
 
 	// Aggregate in (output, direction, sample) order — serial, so the
-	// result is independent of which worker produced which sample.
+	// result is independent of which worker produced which sample. Each
+	// column is copied out of the slab without its NaNs (samples in which
+	// the output did not transition), and sorted in place.
 	column := make([]float64, opt.Samples)
 	for k, po := range pos {
 		for _, dir := range bothDirs {
+			n := 0
 			for si := 0; si < opt.Samples; si++ {
-				column[si] = slab[si*stride+2*k+int(dir)]
+				if v := slab[si*stride+2*k+int(dir)]; !math.IsNaN(v) {
+					column[n] = v
+					n++
+				}
 			}
-			d := mc.NewDist(column, opt.Bins)
-			if d.N == 0 {
+			if n == 0 {
 				continue // this output never transitions that way
 			}
+			d := mc.SortedDist(column[:n], opt.Bins)
 			out.Outputs = append(out.Outputs, OutputDist{Net: po, Dir: dir, Dist: d})
 		}
 	}

@@ -575,7 +575,9 @@ func (p *Compiled) analyze(ctx context.Context, events []PIEvent, mode Mode, opt
 		return nil, errEmptyVector
 	}
 	res := p.newResult(mode, opt.PulseFiltering, len(events))
-	if err := p.analyzeInto(ctx, res, events, opt, pid); err != nil {
+	s := p.scratch.Get().(*evalScratch)
+	defer p.scratch.Put(s)
+	if err := p.analyzeInto(ctx, res, events, opt, s, pid); err != nil {
 		return nil, err
 	}
 	res.Stats.Wall = time.Since(wallStart)
@@ -583,11 +585,9 @@ func (p *Compiled) analyze(ctx context.Context, events []PIEvent, mode Mode, opt
 }
 
 // analyzeInto runs a non-empty stimulus vector into res, an empty result of
-// this handle: a full analysis is the walk from an empty result, with every
-// event seeded as a change.
-func (p *Compiled) analyzeInto(ctx context.Context, res *Result, events []PIEvent, opt Options, pid int64) error {
-	s := p.scratch.Get().(*evalScratch)
-	defer p.scratch.Put(s)
+// this handle, with the scratch s: a full analysis is the walk from an
+// empty result, with every event seeded as a change.
+func (p *Compiled) analyzeInto(ctx context.Context, res *Result, events []PIEvent, opt Options, s *evalScratch, pid int64) error {
 	seedStart := time.Now()
 	if err := p.seed(res, events, nil, s, ""); err != nil {
 		return err
